@@ -6,38 +6,12 @@ import repro.core._
 
 /** Shared plumbing for the baseline truth-inference methods.
   *
-  * Like T-Crowd (DESIGN.md §6), every baseline works on z-normalized
-  * continuous values so that a single per-worker weight/variance is
-  * meaningful across columns of different scales, and denormalizes its point
-  * estimates on output.
+  * Like T-Crowd (DESIGN.md §6), every baseline works on the z-normalized
+  * answers of [[Model.normalized]] so that a single per-worker weight/variance
+  * is meaningful across columns of different scales, and denormalizes its
+  * point estimates on output.
   */
 object BaselineUtil {
-
-  /** Answers with continuous values z-normalized and an `isCat` flag. */
-  def normalized(ds: CrowdDataset): (DataFrame, Map[Int, (Double, Double)]) = {
-    val stats  = Model.continuousStats(ds)
-    val catSet = ds.labelCount.filter(_._2 > 0).keySet
-    val normUdf = udf { (c: Int, v: Double) =>
-      stats.get(c) match {
-        case Some((mu, sd)) => (v - mu) / sd
-        case None           => v
-      }
-    }
-    val df = ds.answers.select(
-      col("worker"), col("row"), col("col"),
-      normUdf(col("col"), col("value")).as("value"),
-      col("col").isin(catSet.toSeq: _*).as("isCat"))
-    (df, stats)
-  }
-
-  /** Map normalized continuous estimates back to raw scale. */
-  def denormalize(cells: Seq[TruthCell], stats: Map[Int, (Double, Double)]): Seq[TruthCell] =
-    cells.map { c =>
-      stats.get(c.col) match {
-        case Some((mu, sd)) => c.copy(value = c.value * sd + mu)
-        case None           => c
-      }
-    }
 
   /** Weighted label vote: per categorical cell, the label with the largest
     * total weight (ties to the smallest label, deterministically). Input must
@@ -65,13 +39,37 @@ object BaselineUtil {
       .map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2) / math.max(r.getDouble(3), 1e-12))
       .toMap
 
-  /** Assemble denormalized point estimates from per-cell maps. */
-  def assemble(ds: CrowdDataset,
-               catEst: Map[(Int, Int), Int],
-               contEst: Map[(Int, Int), Double],
-               stats: Map[Int, (Double, Double)]): Seq[TruthCell] = {
+  /** Point estimates of the loss-based methods (CRH, CATD): a label per
+    * categorical cell and a normalized value per continuous cell.
+    */
+  type Estimates = (Map[(Int, Int), Int], Map[(Int, Int), Double])
+
+  /** Truth update of CRH/CATD under per-worker weights: weighted vote on the
+    * categorical and weighted mean on the continuous normalized answers.
+    */
+  def weightedTruth(ans: DataFrame, weights: Map[Int, Double]): Estimates = {
+    val wUdf = udf { (u: Int) => weights(u) }
+    val withW = ans.withColumn("w", wUdf(col("worker")))
+    (weightedVote(withW.filter(col("isCat"))), weightedMean(withW.filter(!col("isCat"))))
+  }
+
+  /** Adds each answer's `loss` against the estimates: 0/1 on categorical
+    * cells, squared error on normalized continuous cells.
+    */
+  def withLoss(ans: DataFrame, est: Estimates): DataFrame = {
+    val (catEst, contEst) = est
+    val lossUdf = udf { (i: Int, j: Int, v: Double, isCat: Boolean) =>
+      if (isCat) { if (catEst((i, j)) == v.toInt) 0.0 else 1.0 }
+      else { val d = v - contEst((i, j)); d * d }
+    }
+    ans.withColumn("loss", lossUdf(col("row"), col("col"), col("value"), col("isCat")))
+  }
+
+  /** Assemble denormalized point estimates. */
+  def assemble(est: Estimates, stats: Map[Int, (Double, Double)]): Seq[TruthCell] = {
+    val (catEst, contEst) = est
     val cat  = catEst.map { case ((i, j), z) => TruthCell(i, j, z.toDouble) }.toSeq
-    val cont = denormalize(
+    val cont = Model.denormalize(
       contEst.map { case ((i, j), v) => TruthCell(i, j, v) }.toSeq, stats)
     cat ++ cont
   }

@@ -12,47 +12,40 @@ import repro.core.MathUtil.chiSquareQuantile
   * chi2_{0.025}(n)/n -> 1). Truth updates are the same weighted vote /
   * weighted mean as CRH.
   */
-final case class Catd(iters: Int = 5, quantile: Double = 0.025) extends InferenceMethod {
+final case class Catd(iters: Int = 5) extends InferenceMethod {
   val name = "CATD"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val (norm, stats) = BaselineUtil.normalized(ds)
+    val (norm, stats) = Model.normalized(ds)
     val ans = norm.cache()
     ans.count()
     var weights: Map[Int, Double] =
       ans.select("worker").distinct().collect().map(_.getInt(0) -> 1.0).toMap
 
-    var catEst: Map[(Int, Int), Int] = Map.empty
-    var contEst: Map[(Int, Int), Double] = Map.empty
+    var est: BaselineUtil.Estimates = (Map.empty, Map.empty)
 
     var it = 0
     while (it < iters) {
-      val w = weights
-      val wUdf = udf { (u: Int) => w(u) }
-      val withW = ans.withColumn("w", wUdf(col("worker")))
-      catEst = BaselineUtil.weightedVote(withW.filter(col("isCat")))
-      contEst = BaselineUtil.weightedMean(withW.filter(!col("isCat")))
-
-      val ce = catEst; val qe = contEst
-      val lossUdf = udf { (i: Int, j: Int, v: Double, isCat: Boolean) =>
-        if (isCat) { if (ce((i, j)) == v.toInt) 0.0 else 1.0 }
-        else { val d = v - qe((i, j)); d * d }
-      }
-      weights = ans
-        .withColumn("loss", lossUdf(col("row"), col("col"), col("value"), col("isCat")))
+      est = BaselineUtil.weightedTruth(ans, weights)
+      weights = BaselineUtil.withLoss(ans, est)
         .groupBy("worker").agg(sum("loss").as("d"), count(lit(1)).as("n"))
         .collect()
         .map { r =>
           val du = math.max(r.getDouble(1), 1e-6)
           // Wilson–Hilferty can go nonpositive in the deep lower tail at
           // df=1-2; floor the quantile at a tiny positive weight.
-          val chi2 = math.max(1e-3, chiSquareQuantile(quantile, r.getLong(2).toInt))
+          val chi2 = math.max(1e-3, chiSquareQuantile(Catd.Quantile, r.getLong(2).toInt))
           r.getInt(0) -> chi2 / du
         }
         .toMap
       it += 1
     }
     ans.unpersist()
-    BaselineUtil.assemble(ds, catEst, contEst, stats)
+    BaselineUtil.assemble(est, stats)
   }
+}
+
+object Catd {
+  /** Lower tail of the chi-square quantile that sets a worker's weight. */
+  val Quantile = 0.025
 }

@@ -14,30 +14,18 @@ final case class Crh(iters: Int = 10) extends InferenceMethod {
   val name = "CRH"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val (norm, stats) = BaselineUtil.normalized(ds)
+    val (norm, stats) = Model.normalized(ds)
     val ans = norm.cache()
     ans.count()
     val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
     var weights: Map[Int, Double] = workers.map(_ -> 1.0).toMap
 
-    var catEst: Map[(Int, Int), Int] = Map.empty
-    var contEst: Map[(Int, Int), Double] = Map.empty
+    var est: BaselineUtil.Estimates = (Map.empty, Map.empty)
 
     var it = 0
     while (it < iters) {
-      val w = weights
-      val wUdf = udf { (u: Int) => w(u) }
-      val withW = ans.withColumn("w", wUdf(col("worker")))
-      catEst = BaselineUtil.weightedVote(withW.filter(col("isCat")))
-      contEst = BaselineUtil.weightedMean(withW.filter(!col("isCat")))
-
-      val ce = catEst; val qe = contEst
-      val lossUdf = udf { (i: Int, j: Int, v: Double, isCat: Boolean) =>
-        if (isCat) { if (ce((i, j)) == v.toInt) 0.0 else 1.0 }
-        else { val d = v - qe((i, j)); d * d }
-      }
-      val d = ans
-        .withColumn("loss", lossUdf(col("row"), col("col"), col("value"), col("isCat")))
+      est = BaselineUtil.weightedTruth(ans, weights)
+      val d = BaselineUtil.withLoss(ans, est)
         .groupBy("worker").agg(sum("loss").as("d"))
         .collect()
         .map(r => r.getInt(0) -> math.max(r.getDouble(1), 1e-6))
@@ -47,6 +35,6 @@ final case class Crh(iters: Int = 10) extends InferenceMethod {
       it += 1
     }
     ans.unpersist()
-    BaselineUtil.assemble(ds, catEst, contEst, stats)
+    BaselineUtil.assemble(est, stats)
   }
 }

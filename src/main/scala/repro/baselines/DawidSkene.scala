@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.core.MathUtil.softmax
+import repro.core.MathUtil.{argmax, softmax}
 
 /** Dawid & Skene [9] — the "EM" row of Table 7. Classic confusion-matrix EM
   * applied per categorical column (the matrices of different columns live in
@@ -14,11 +14,11 @@ import repro.core.MathUtil.softmax
   * answer into per-label log-likelihood contributions and sums them with one
   * `groupBy(row,col,label)`; the M-step accumulates posterior-weighted
   * confusion counts with one `groupBy(worker,col,label,answer)`. Confusion
-  * matrices are Laplace-smoothed (`delta`) since per-worker-per-column data
+  * matrices are Laplace-smoothed (`Delta`) since per-worker-per-column data
   * is sparse — without smoothing D&S collapses, which is the behaviour the
   * paper's Table 7 hints at (EM below Majority Voting on Celebrity).
   */
-final case class DawidSkene(iters: Int = 8, delta: Double = 0.3) extends InferenceMethod {
+final case class DawidSkene(iters: Int = 8) extends InferenceMethod {
   val name = "EM"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
@@ -56,13 +56,7 @@ final case class DawidSkene(iters: Int = 8, delta: Double = 0.3) extends Inferen
       val denom: Map[(Int, Int, Int), Double] = counts.toSeq
         .map { case ((u, j, z, _), c) => (u, j, z) -> c }
         .groupBy(_._1).map { case (k, vs) => k -> vs.map(_._2).sum }
-      val d = delta
-      def pi(u: Int, j: Int, z: Int, a: Int): Double = {
-        val l = lc(j)
-        val num = counts.getOrElse((u, j, z, a), 0.0) + d
-        val den = denom.getOrElse((u, j, z), 0.0) + d * l
-        num / den
-      }
+      val d = DawidSkene.Delta
       // column priors = average posterior mass per label
       val prior: Map[Int, Array[Double]] = post.toSeq.groupBy(_._1._2).map { case (j, cells) =>
         val l = lc(j)
@@ -72,13 +66,13 @@ final case class DawidSkene(iters: Int = 8, delta: Double = 0.3) extends Inferen
         j -> acc.map(_ / s)
       }
 
-      // ---- E-step: post(i,j)(z) ∝ prior_j(z) * prod_u pi(u,j,z,a^u)
-      val countsB = counts; val denomB = denom
+      // ---- E-step: post(i,j)(z) ∝ prior_j(z) * prod_u pi(u,j,z,a^u), where
+      // pi(u,j,z,a) = (counts(u,j,z,a) + Delta) / (denom(u,j,z) + Delta * L)
       val scoreUdf = udf { (u: Int, j: Int, a: Int) =>
         val l = lc(j)
         (0 until l).map { z =>
-          val num = countsB.getOrElse((u, j, z, a), 0.0) + d
-          val den = denomB.getOrElse((u, j, z), 0.0) + d * l
+          val num = counts.getOrElse((u, j, z, a), 0.0) + d
+          val den = denom.getOrElse((u, j, z), 0.0) + d * l
           math.log(num / den)
         }
       }
@@ -100,8 +94,11 @@ final case class DawidSkene(iters: Int = 8, delta: Double = 0.3) extends Inferen
       it += 1
     }
     ans.unpersist()
-    post.map { case ((i, j), probs) =>
-      TruthCell(i, j, probs.indices.maxBy(probs.apply).toDouble)
-    }.toSeq
+    post.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
   }
+}
+
+object DawidSkene {
+  /** Laplace smoothing added to every confusion-matrix count. */
+  val Delta = 0.3
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.core.MathUtil.{clampProb, softmax}
+import repro.core.MathUtil.{argmax, clampProb}
 
 /** GLAD [33]: worker ability `a_u` (real; negative = adversarial) and
   * per-task inverse difficulty `b_t > 0`; the probability that worker u
@@ -12,7 +12,7 @@ import repro.core.MathUtil.{clampProb, softmax}
   * via the same explode-to-parameter-key aggregation pattern as T-Crowd.
   * Categorical cells only (GLAD is a labeling model).
   */
-final case class Glad(iters: Int = 8, gdSteps: Int = 4, lr: Double = 0.3) extends InferenceMethod {
+final case class Glad(iters: Int = 8, gdSteps: Int = 4) extends InferenceMethod {
   val name = "GLAD"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
@@ -30,25 +30,16 @@ final case class Glad(iters: Int = 8, gdSteps: Int = 4, lr: Double = 0.3) extend
     var abil = workers.map(_ -> 1.0).toMap
     var lnB  = cells.map(_ -> 0.0).toMap
 
-    def q(u: Int, cell: Int): Double = clampProb(
-      1.0 / (1.0 + math.exp(-abil(u) * math.exp(lnB(cell)))))
-
     def eStep(): Map[(Int, Int), Array[Double]] = {
       val ab = abil; val lb = lnB; val lc = labelCount
       val lamUdf = udf { (u: Int, j: Int, cell: Int) =>
         val qq = clampProb(1.0 / (1.0 + math.exp(-ab(u) * math.exp(lb(cell)))))
         math.log(qq) - math.log((1.0 - qq) / (lc(j) - 1))
       }
-      ans.withColumn("lam", lamUdf(col("worker"), col("col"), col("cell")))
+      Model.labelPosterior(ans.withColumn("lam", lamUdf(col("worker"), col("col"), col("cell")))
         .groupBy("row", "col", "value")
         .agg(sum("lam").as("score"))
-        .collect()
-        .groupBy(x => (x.getInt(0), x.getInt(1)))
-        .map { case (c @ (_, j), rs) =>
-          val l = labelCount(j)
-          val byLabel = rs.map(x => x.getDouble(2).toInt -> x.getDouble(3)).toMap
-          c -> softmax((0 until l).map(z => byLabel.getOrElse(z, 0.0))).toArray
-        }
+        .collect(), labelCount)
     }
 
     var post = eStep()
@@ -83,10 +74,10 @@ final case class Glad(iters: Int = 8, gdSteps: Int = 4, lr: Double = 0.3) extend
           .map(r => (r.getString(0), r.getInt(1)) -> r.getDouble(2) / r.getLong(3))
           .toMap
         abil = abil.map { case (u, v) =>
-          u -> math.min(6.0, math.max(-6.0, v + lr * grads.getOrElse(("w", u), 0.0)))
+          u -> math.min(6.0, math.max(-6.0, v + Glad.Lr * grads.getOrElse(("w", u), 0.0)))
         }
         lnB = lnB.map { case (t, v) =>
-          t -> math.min(3.0, math.max(-3.0, v + lr * grads.getOrElse(("t", t), 0.0)))
+          t -> math.min(3.0, math.max(-3.0, v + Glad.Lr * grads.getOrElse(("t", t), 0.0)))
         }
         step += 1
       }
@@ -95,8 +86,11 @@ final case class Glad(iters: Int = 8, gdSteps: Int = 4, lr: Double = 0.3) extend
       it += 1
     }
     ans.unpersist()
-    post.map { case ((i, j), probs) =>
-      TruthCell(i, j, probs.indices.maxBy(probs.apply).toDouble)
-    }.toSeq
+    post.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
   }
+}
+
+object Glad {
+  /** Gradient-ascent learning rate on `a_u` and `ln b_t`. */
+  val Lr = 0.3
 }

@@ -4,34 +4,30 @@ import org.apache.spark.sql.functions._
 import repro.core._
 
 /** GTM [37] (Zhao & Han): Gaussian truth model for continuous data only.
-  * Truth prior N(0, priorVar) in z-space; worker u's answers ~ N(truth,
+  * Truth prior N(0, Model.PriorVar) in z-space; worker u's answers ~ N(truth,
   * sigma_u^2). EM with closed forms: the E-step is a precision-weighted
   * Gaussian posterior per cell, the M-step sets sigma_u^2 to the mean
   * expected squared deviation of u's answers.
   */
-final case class Gtm(iters: Int = 10, priorVar: Double = 4.0) extends InferenceMethod {
+final case class Gtm(iters: Int = 10) extends InferenceMethod {
   val name = "GTM"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
     val contCols = ds.continuousCols.map(_.col)
     if (contCols.isEmpty) return Seq.empty
-    val (norm, stats) = BaselineUtil.normalized(ds)
+    val (norm, stats) = Model.normalized(ds)
     val ans = norm.filter(!col("isCat")).cache()
     ans.count()
     val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
     var sigma2: Map[Int, Double] = workers.map(_ -> 1.0).toMap
 
     def eStep(): Map[(Int, Int), (Double, Double)] = {
-      val s2 = sigma2; val pv = priorVar
+      val s2 = sigma2
       val wUdf = udf { (u: Int) => 1.0 / s2(u) }
-      ans.withColumn("w", wUdf(col("worker")))
+      Model.gaussianPosterior(ans.withColumn("w", wUdf(col("worker")))
         .groupBy("row", "col")
         .agg(sum("w").as("sw"), sum(expr("w * value")).as("swv"))
-        .collect()
-        .map { r =>
-          val tphi = 1.0 / (r.getDouble(2) + 1.0 / pv)
-          ((r.getInt(0), r.getInt(1)), (r.getDouble(3) * tphi, tphi))
-        }.toMap
+        .collect())
     }
 
     var post = eStep()
@@ -52,7 +48,7 @@ final case class Gtm(iters: Int = 10, priorVar: Double = 4.0) extends InferenceM
       it += 1
     }
     ans.unpersist()
-    BaselineUtil.denormalize(
+    Model.denormalize(
       post.map { case ((i, j), (mu, _)) => TruthCell(i, j, mu) }.toSeq, stats)
   }
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.core.MathUtil.{clampProb, softmax}
+import repro.core.MathUtil.{argmax, clampProb}
 
 /** ZenCrowd [10]: Dawid&Skene collapsed to a single reliability `r_u` per
   * worker — correct with probability `r_u`, wrong answers uniform over the
@@ -26,16 +26,10 @@ final case class ZenCrowd(iters: Int = 10) extends InferenceMethod {
         val q = clampProb(r(u))
         math.log(q) - math.log((1.0 - q) / (lc(j) - 1))
       }
-      ans.withColumn("lam", lamUdf(col("worker"), col("col")))
+      Model.labelPosterior(ans.withColumn("lam", lamUdf(col("worker"), col("col")))
         .groupBy("row", "col", "value")
         .agg(sum("lam").as("score"))
-        .collect()
-        .groupBy(x => (x.getInt(0), x.getInt(1)))
-        .map { case (cell @ (_, j), rs) =>
-          val l = labelCount(j)
-          val byLabel = rs.map(x => x.getDouble(2).toInt -> x.getDouble(3)).toMap
-          cell -> softmax((0 until l).map(z => byLabel.getOrElse(z, 0.0))).toArray
-        }
+        .collect(), labelCount)
     }
 
     var post = eStep()
@@ -53,8 +47,6 @@ final case class ZenCrowd(iters: Int = 10) extends InferenceMethod {
       it += 1
     }
     ans.unpersist()
-    post.map { case ((i, j), probs) =>
-      TruthCell(i, j, probs.indices.maxBy(probs.apply).toDouble)
-    }.toSeq
+    post.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
   }
 }

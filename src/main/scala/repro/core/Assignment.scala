@@ -12,8 +12,7 @@ import scala.util.Random
   * only updates the answered cell's posterior (Gaussian precision update /
   * likelihood reweighting), keeping per-assignment cost constant.
   */
-final class Snapshot(@volatile var res: TCrowdResult, val labelCount: Map[Int, Int],
-                     val priorVar: Double) {
+final class Snapshot(@volatile var res: TCrowdResult, val labelCount: Map[Int, Int]) {
   val contPost: mutable.Map[(Int, Int), (Double, Double)] = mutable.Map.from(res.contPosterior)
   val catPost: mutable.Map[(Int, Int), Array[Double]]     = mutable.Map.from(res.catPosterior)
 
@@ -23,7 +22,7 @@ final class Snapshot(@volatile var res: TCrowdResult, val labelCount: Map[Int, I
     catPost.clear(); catPost ++= r.catPosterior
   }
 
-  def contOf(i: Int, j: Int): (Double, Double) = contPost.getOrElse((i, j), (0.0, priorVar))
+  def contOf(i: Int, j: Int): (Double, Double) = contPost.getOrElse((i, j), (0.0, Model.PriorVar))
 
   def catOf(i: Int, j: Int): Array[Double] = {
     val l = labelCount(j)
@@ -32,30 +31,17 @@ final class Snapshot(@volatile var res: TCrowdResult, val labelCount: Map[Int, I
 
   /** Current point estimate of a cell (normalized space for continuous). */
   def estimateOf(i: Int, j: Int): Double =
-    if (labelCount.getOrElse(j, 0) > 0) { val p = catOf(i, j); p.indices.maxBy(p.apply).toDouble }
+    if (labelCount.getOrElse(j, 0) > 0) argmax(catOf(i, j)).toDouble
     else contOf(i, j)._1
 
   /** Normalize a raw continuous answer with the snapshot's column stats. */
-  def normalize(j: Int, v: Double): Double = {
-    val (mu, sd) = res.contStats.getOrElse(j, (0.0, 1.0))
-    (v - mu) / sd
-  }
+  def normalize(j: Int, v: Double): Double = Model.normalize(res.contStats, j, v)
 
   /** Local Bayesian update of cell (i,j)'s posterior with a new raw answer. */
   def applyAnswer(u: Int, i: Int, j: Int, raw: Double): Unit = {
     val v = res.cellVariance(u, i, j)
     if (labelCount.getOrElse(j, 0) > 0) {
-      val l = labelCount(j)
-      val q = quality(res.eps, v)
-      val wrong = (1.0 - q) / (l - 1)
-      val p = catOf(i, j).clone()
-      val a = raw.toInt
-      var norm = 0.0
-      var t = 0
-      while (t < l) { p(t) *= (if (t == a) q else wrong); norm += p(t); t += 1 }
-      t = 0
-      while (t < l) { p(t) /= norm; t += 1 }
-      catPost((i, j)) = p
+      catPost((i, j)) = InfoGain.answerPosterior(catOf(i, j), quality(TCrowd.Eps, v), raw.toInt)
     } else {
       val (mu, tphi) = contOf(i, j)
       val w = 1.0 / math.max(v, 1e-9)
@@ -91,7 +77,6 @@ final class AssignState(
   /** (worker,row) -> answered (col, rawValue) pairs, for §5.2 row context. */
   val rowAnswers: mutable.Map[(Int, Int), mutable.Buffer[(Int, Double)]] = mutable.Map.empty
   val log: mutable.Buffer[Answer] = mutable.Buffer.empty
-  private val labelCount = columns.map(c => c.col -> c.numLabels).toMap
 
   def record(a: Answer): Unit = {
     log += a
@@ -116,7 +101,7 @@ final class AssignState(
     */
   def workerErrorsOnRow(u: Int, i: Int): Seq[(Int, Double)] =
     rowAnswers.getOrElse((u, i), mutable.Buffer.empty).toSeq.map { case (j, raw) =>
-      if (labelCount.getOrElse(j, 0) > 0) {
+      if (snapshot.labelCount.getOrElse(j, 0) > 0) {
         val est = snapshot.estimateOf(i, j)
         j -> (if (est.toInt == raw.toInt) 0.0 else 1.0)
       } else {
@@ -164,8 +149,7 @@ final class EntropyStrategy extends AssignStrategy {
     val avail = st.availableCells(u)
     if (avail.isEmpty) return None
     Some(avail.maxBy { case (i, j) =>
-      if (snap.labelCount.getOrElse(j, 0) > 0) shannonEntropy(snap.catOf(i, j).toSeq)
-      else differentialEntropy(snap.contOf(i, j)._2)
+      InfoGain.uniformEntropy(snap.labelCount.getOrElse(j, 0) > 0, snap.catOf(i, j), snap.contOf(i, j)._2)
     })
   }
 }
@@ -314,9 +298,13 @@ final case class SimRunConfig(
   */
 object Assignment {
 
+  /** Inherent gain of assigning cell (i,j) to worker u (paper §5.1, Eq. 6).
+    * Cells the snapshot has not seen use the uniform / prior posterior, and
+    * unknown workers unit variance.
+    */
   def inherentGain(snap: Snapshot, u: Int, i: Int, j: Int): Double =
     if (snap.labelCount.getOrElse(j, 0) > 0)
-      InfoGain.categoricalGain(snap.catOf(i, j), quality(snap.res.eps, snap.res.cellVariance(u, i, j)))
+      InfoGain.categoricalGain(snap.catOf(i, j), snap.res.cellQuality(u, i, j))
     else
       InfoGain.continuousGain(snap.contOf(i, j)._2, snap.res.cellVariance(u, i, j))
 
@@ -373,7 +361,7 @@ object Assignment {
     val nCells = sim.cfg.numRows * columns.size
 
     val st = new AssignState(sim.cfg.numRows, columns,
-      new Snapshot(emptyResult(cfg.tcrowd), labelCount, cfg.tcrowd.priorVar))
+      new Snapshot(emptyResult, labelCount))
 
     // Seed: one answer per cell from the row's first assigned worker.
     for (i <- 0 until sim.cfg.numRows; c <- columns) {
@@ -429,7 +417,7 @@ object Assignment {
   /** An empty inference result used to bootstrap the snapshot before the
     * first refresh (uniform/prior posteriors, unit parameters).
     */
-  private[core] def emptyResult(cfg: TCrowdConfig): TCrowdResult =
+  private[core] val emptyResult: TCrowdResult =
     TCrowdResult(Seq.empty, Map.empty, Map.empty, Map.empty, Map.empty, Map.empty,
-      Map.empty, cfg.eps, 0, converged = false)
+      Map.empty, 0, converged = false)
 }

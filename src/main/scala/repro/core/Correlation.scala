@@ -161,7 +161,7 @@ object Correlation {
     val stats = res.contStats
     val contMu = res.contPosterior
     val catArg: Map[(Int, Int), Int] =
-      res.catPosterior.map { case (c, p) => c -> p.indices.maxBy(p.apply) }
+      res.catPosterior.map { case (c, p) => c -> argmax(p) }
     val errUdf = udf { (i: Int, j: Int, v: Double) =>
       if (labelCount.getOrElse(j, 0) > 0) {
         catArg.get((i, j)) match {
@@ -169,9 +169,7 @@ object Correlation {
           case None    => 0.0
         }
       } else {
-        val (mu, sd) = stats.getOrElse(j, (0.0, 1.0))
-        val vn = (v - mu) / sd
-        vn - contMu.get((i, j)).map(_._1).getOrElse(0.0)
+        Model.normalize(stats, j, v) - contMu.get((i, j)).map(_._1).getOrElse(0.0)
       }
     }
     ds.answers.select(col("worker"), col("row"), col("col"),

@@ -41,45 +41,36 @@ object InfoGain {
     while (z < l) {
       // predictive probability of answer z
       val pa = probs(z) * qc + (1.0 - probs(z)) * wrong
-      if (pa > 1e-15) {
-        // posterior over truth t given answer z
-        var norm = 0.0
-        val post = new Array[Double](l)
-        var t = 0
-        while (t < l) {
-          val lik = if (t == z) qc else wrong
-          post(t) = probs(t) * lik
-          norm += post(t)
-          t += 1
-        }
-        t = 0
-        while (t < l) { post(t) /= norm; t += 1 }
-        expected += pa * shannonEntropy(post)
-      }
+      if (pa > 1e-15) expected += pa * shannonEntropy(answerPosterior(probs, qc, z))
       z += 1
     }
     h0 - expected
   }
 
-  /** Uniform entropy `H(T_ij)` of §5.1 (for the Entropy heuristic, which the
-    * paper shows is biased toward continuous cells).
+  /** Truth posterior of a categorical cell after one answer `a` from a worker
+    * who is right with probability `q` and otherwise answers uniformly among
+    * the other labels.
     */
-  def uniformEntropy(isCategorical: Boolean, probs: Array[Double], tPhi: Double): Double =
-    if (isCategorical) shannonEntropy(probs) else differentialEntropy(tPhi)
-
-  /** Inherent gain of assigning cell (i,j) to worker u, from an inference
-    * snapshot (paper Eq. 6).
-    */
-  def inherentGain(res: TCrowdResult, labelCount: Map[Int, Int], priorVar: Double)(
-      u: Int, i: Int, j: Int): Double = {
-    val v = res.cellVariance(u, i, j)
-    labelCount.get(j).filter(_ > 0) match {
-      case Some(l) =>
-        val probs = res.catPosterior.getOrElse((i, j), Array.fill(l)(1.0 / l))
-        categoricalGain(probs, quality(res.eps, v))
-      case None =>
-        val tPhi = res.contPosterior.get((i, j)).map(_._2).getOrElse(priorVar)
-        continuousGain(tPhi, v)
+  def answerPosterior(probs: Array[Double], q: Double, a: Int): Array[Double] = {
+    val l = probs.length
+    val wrong = (1.0 - q) / (l - 1)
+    val post = new Array[Double](l)
+    var norm = 0.0
+    var t = 0
+    while (t < l) {
+      post(t) = probs(t) * (if (t == a) q else wrong)
+      norm += post(t)
+      t += 1
     }
+    t = 0
+    while (t < l) { post(t) /= norm; t += 1 }
+    post
   }
+
+  /** Uniform entropy `H(T_ij)` of §5.1 (for the Entropy heuristic, which the
+    * paper shows is biased toward continuous cells). Only the argument of the
+    * cell's datatype is evaluated.
+    */
+  def uniformEntropy(isCategorical: Boolean, probs: => Array[Double], tPhi: => Double): Double =
+    if (isCategorical) shannonEntropy(probs) else differentialEntropy(tPhi)
 }

@@ -21,9 +21,6 @@ object MathUtil {
     sign * y
   }
 
-  /** d erf(x) / dx = 2/sqrt(pi) * exp(-x^2). */
-  def erfDeriv(x: Double): Double = (2.0 / math.sqrt(math.Pi)) * math.exp(-x * x)
-
   /** Worker-correctness probability of the T-Crowd model:
     * q = erf(eps / sqrt(2 * variance)), clamped away from {0, 1} so that
     * log-likelihood terms stay finite.
@@ -49,6 +46,17 @@ object MathUtil {
     val exps = scores.map(s => math.exp(s - m))
     val z    = exps.sum
     exps.map(_ / z)
+  }
+
+  /** Index of the largest entry; ties go to the smallest index. */
+  def argmax(xs: Array[Double]): Int = {
+    var best = 0
+    var i = 1
+    while (i < xs.length) {
+      if (xs(i) > xs(best)) best = i
+      i += 1
+    }
+    best
   }
 
   /** Upper quantile of the chi-square distribution via the Wilson–Hilferty

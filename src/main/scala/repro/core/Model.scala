@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.core.MathUtil.softmax
 
 /** One answer by one worker on one cell. Categorical values are encoded as
   * the label index (0-based) stored in `value`; continuous values are the raw
@@ -57,6 +58,12 @@ final case class CrowdDataset(
 }
 
 object Model {
+  /** Variance `phi_j^0` of the `N(0, phi_j^0)` truth prior of every
+    * continuous column in z-normalized space (paper §4, DESIGN.md §6). Used
+    * by T-Crowd, GTM and the assignment snapshot.
+    */
+  val PriorVar = 4.0
+
   val answerSchema: StructType = StructType(Seq(
     StructField("worker", IntegerType, nullable = false),
     StructField("row", IntegerType, nullable = false),
@@ -98,4 +105,68 @@ object Model {
       .map(r => r.getInt(0) -> (r.getDouble(1), math.max(r.getDouble(2), 1e-9)))
       .toMap
   }
+
+  /** z-normalize value `v` of column `c` with per-column (mean, std) stats;
+    * values of columns without stats (categorical) pass through unchanged.
+    */
+  def normalize(stats: Map[Int, (Double, Double)], c: Int, v: Double): Double =
+    stats.get(c) match {
+      case Some((mu, sd)) => (v - mu) / sd
+      case None           => v
+    }
+
+  /** The answer relation every inference method works on: continuous values
+    * z-normalized with [[continuousStats]] and an `isCat` flag. Returns the
+    * stats too, for [[denormalize]].
+    */
+  def normalized(ds: CrowdDataset): (DataFrame, Map[Int, (Double, Double)]) = {
+    val stats  = continuousStats(ds)
+    val catSet = ds.labelCount.filter(_._2 > 0).keySet
+    val normUdf = udf((c: Int, v: Double) => normalize(stats, c, v))
+    val df = ds.answers.select(
+      col("worker"), col("row"), col("col"),
+      normUdf(col("col"), col("value")).as("value"),
+      col("col").isin(catSet.toSeq: _*).as("isCat"))
+    (df, stats)
+  }
+
+  /** Map normalized continuous estimates back to raw scale. */
+  def denormalize(cells: Seq[TruthCell], stats: Map[Int, (Double, Double)]): Seq[TruthCell] =
+    cells.map { c =>
+      stats.get(c.col) match {
+        case Some((mu, sd)) => c.copy(value = c.value * sd + mu)
+        case None           => c
+      }
+    }
+
+  /** Continuous E-step (paper §4): the Gaussian truth posterior `(mu, var)`
+    * of each cell under the `N(0, PriorVar)` prior, from collected
+    * `(row, col, sum w, sum w*value)` rows where `w` is each answer's
+    * precision.
+    */
+  def gaussianPosterior(rows: Array[Row]): Map[(Int, Int), (Double, Double)] =
+    rows.map { r =>
+      val tphi = 1.0 / (r.getDouble(2) + 1.0 / PriorVar)
+      ((r.getInt(0), r.getInt(1)), (r.getDouble(3) * tphi, tphi))
+    }.toMap
+
+  /** Categorical E-step (paper Eq. 4): the label distribution of each cell,
+    * a softmax over the column's full label set of collected
+    * `(row, col, label, score)` rows; a label nobody answered scores 0.
+    *
+    * @throws IllegalArgumentException if an answer is not an integer label
+    *         in `[0, L)` of its column
+    */
+  def labelPosterior(rows: Array[Row], labelCount: Map[Int, Int]): Map[(Int, Int), Array[Double]] =
+    rows.groupBy(r => (r.getInt(0), r.getInt(1))).map { case (cell @ (i, j), rs) =>
+      val l = labelCount(j)
+      val score = new Array[Double](l)
+      rs.foreach { r =>
+        val a = r.getDouble(2)
+        require(a >= 0 && a < l && a == math.rint(a),
+          s"answer $a on cell ($i, $j) is not a label in [0, $l)")
+        score(a.toInt) = r.getDouble(3)
+      }
+      cell -> softmax(score.toSeq).toArray
+    }
 }

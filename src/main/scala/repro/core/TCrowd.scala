@@ -1,33 +1,19 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.MathUtil._
 
 /** Configuration of the T-Crowd EM truth-inference algorithm (paper §4).
+  * The remaining model constants are in [[TCrowd]] and [[Model.PriorVar]].
   *
-  * @param eps       half-width of the "close enough" band that maps a
-  *                  variance to a quality `q_u = erf(eps/sqrt(2 phi))`;
-  *                  interpreted in z-normalized answer space (DESIGN.md §6)
   * @param maxIters  cap on EM iterations (paper observes w < 20)
   * @param gdSteps   gradient-ascent steps per M-step (paper observes v < 20;
   *                  a handful suffice because the E-step re-centers targets)
-  * @param lr        gradient-ascent learning rate on log-parameters
-  * @param tol       EM convergence threshold on max log-parameter change
-  * @param priorVar  variance `phi_j^0` of the per-column truth prior in
-  *                  normalized space (mean is 0 by construction)
-  * @param learnDifficulty when false, row/column difficulties are pinned at 1
-  *                  (used by ablations and by unit tests isolating phi)
   */
 final case class TCrowdConfig(
-    eps: Double = 1.0,
     maxIters: Int = 15,
     gdSteps: Int = 5,
-    lr: Double = 0.4,
-    tol: Double = 5e-3,
-    priorVar: Double = 4.0,
-    learnDifficulty: Boolean = true,
 )
 
 /** Output of T-Crowd inference.
@@ -53,16 +39,15 @@ final case class TCrowdResult(
     alpha: Map[Int, Double],
     beta: Map[Int, Double],
     contStats: Map[Int, (Double, Double)],
-    eps: Double,
     iterations: Int,
     converged: Boolean,
 ) {
   /** Unified worker quality `q_u = erf(eps/sqrt(2 phi_u))` (paper Eq. 2). */
-  def workerQuality: Map[Int, Double] = phi.map { case (u, p) => u -> quality(eps, p) }
+  def workerQuality: Map[Int, Double] = phi.map { case (u, p) => u -> quality(TCrowd.Eps, p) }
 
   /** Per-cell quality `q_ij^u = erf(eps/sqrt(2 alpha_i beta_j phi_u))`. */
   def cellQuality(u: Int, row: Int, colIdx: Int): Double =
-    quality(eps, cellVariance(u, row, colIdx))
+    quality(TCrowd.Eps, cellVariance(u, row, colIdx))
 
   /** Answer variance `alpha_i * beta_j * phi_u` of worker u on a cell. */
   def cellVariance(u: Int, row: Int, colIdx: Int): Double =
@@ -84,24 +69,21 @@ final case class TCrowdResult(
   */
 object TCrowd {
 
+  /** Half-width of the "close enough" band that maps a variance to a quality
+    * `q_u = erf(Eps/sqrt(2 phi))`, in z-normalized answer space (DESIGN.md §6).
+    */
+  val Eps = 1.0
+  /** Gradient-ascent learning rate on the log-parameters. */
+  val Lr = 0.4
+  /** EM stops once no log-parameter moved by more than this in an iteration. */
+  val Tol = 5e-3
+
   def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult = {
-    val spark = ds.answers.sparkSession
     val labelCount = ds.labelCount.filter(_._2 > 0)
-    val catColSet  = labelCount.keySet
-    val stats      = Model.continuousStats(ds)
 
     // --- normalized, typed answer relation (cached once) ------------------
-    val normUdf = udf { (c: Int, v: Double) =>
-      stats.get(c) match {
-        case Some((mu, sd)) => (v - mu) / sd
-        case None           => v
-      }
-    }
-    val ans = ds.answers
-      .select(col("worker"), col("row"), col("col"),
-              normUdf(col("col"), col("value")).as("value"),
-              col("col").isin(catColSet.toSeq.map(_.asInstanceOf[Any]): _*).as("isCat"))
-      .cache()
+    val (norm, stats) = Model.normalized(ds)
+    val ans = norm.cache()
     ans.count() // materialize
 
     val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
@@ -112,51 +94,34 @@ object TCrowd {
     var lnAlpha = rows.map(_ -> 0.0).toMap
     var lnBeta  = cols.map(_ -> 0.0).toMap
 
-    def lnS(u: Int, i: Int, j: Int): Double =
-      lnAlpha.getOrElse(i, 0.0) + lnBeta.getOrElse(j, 0.0) + lnPhi.getOrElse(u, 0.0)
-
     // --- E-step -----------------------------------------------------------
     // Continuous: Gaussian posterior with precision weights 1/(alpha beta phi)
-    // plus the N(0, priorVar) column prior. Categorical: per-label log-score
+    // plus the N(0, PriorVar) column prior. Categorical: per-label log-score
     // sum of ln q - ln((1-q)/(L-1)) over supporting answers, softmax over the
     // full label set (unvoted labels score 0 relative — see paper Eq. 4).
     def eStep(): (Map[(Int, Int), (Double, Double)], Map[(Int, Int), Array[Double]]) = {
-      val la = lnAlpha; val lb = lnBeta; val lp = lnPhi; val pv = cfg.priorVar
+      val la = lnAlpha; val lb = lnBeta; val lp = lnPhi
       val wUdf = udf { (u: Int, i: Int, j: Int) =>
         math.exp(-(la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0)))
       }
-      val contPost = ans.filter(!col("isCat"))
+      val contPost = Model.gaussianPosterior(ans.filter(!col("isCat"))
         .withColumn("w", wUdf(col("worker"), col("row"), col("col")))
         .groupBy("row", "col")
         .agg(sum("w").as("sw"), sum(expr("w * value")).as("swv"))
-        .collect()
-        .map { r =>
-          val sw = r.getDouble(2); val swv = r.getDouble(3)
-          val tphi = 1.0 / (sw + 1.0 / pv)
-          ((r.getInt(0), r.getInt(1)), (swv * tphi, tphi))
-        }.toMap
+        .collect())
 
-      val lc = labelCount; val eps = cfg.eps
+      val lc = labelCount
       val lamUdf = udf { (u: Int, i: Int, j: Int) =>
         val s = math.exp(la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0))
-        val q = quality(eps, s)
+        val q = quality(Eps, s)
         val l = lc(j)
         math.log(q) - math.log((1.0 - q) / (l - 1))
       }
-      val scored = ans.filter(col("isCat"))
+      val catPost = Model.labelPosterior(ans.filter(col("isCat"))
         .withColumn("lam", lamUdf(col("worker"), col("row"), col("col")))
         .groupBy("row", "col", "value")
         .agg(sum("lam").as("score"))
-        .collect()
-        .groupBy(r => (r.getInt(0), r.getInt(1)))
-        .map { case (cell, rs) =>
-          cell -> rs.map(r => r.getDouble(2).toInt -> r.getDouble(3)).toMap
-        }
-      val catPost = scored.map { case (cell @ (_, j), byLabel) =>
-        val l = labelCount(j)
-        val probs = softmax((0 until l).map(z => byLabel.getOrElse(z, 0.0))).toArray
-        cell -> probs
-      }
+        .collect(), labelCount)
       (contPost, catPost)
     }
 
@@ -171,7 +136,7 @@ object TCrowd {
       //   categorical: s = posterior prob of the answered label
       val cp = contPost; val kp = catPost
       val statUdf = udf { (i: Int, j: Int, v: Double, isCat: Boolean) =>
-        if (isCat) kp.get((i, j)).map(_.apply(v.toInt)).getOrElse(0.5)
+        if (isCat) kp((i, j))(v.toInt)
         else {
           val (mu, tphi) = cp((i, j))
           (v - mu) * (v - mu) + tphi
@@ -186,15 +151,15 @@ object TCrowd {
       var maxDelta = 0.0
       var step = 0
       while (step < cfg.gdSteps) {
-        val la = lnAlpha; val lb = lnBeta; val lp = lnPhi; val eps = cfg.eps
+        val la = lnAlpha; val lb = lnBeta; val lp = lnPhi
         // d/d lnS of the expected log-likelihood of one answer; identical for
         // ln(phi_u), ln(alpha_i), ln(beta_j) since lnS is their sum.
         val gradUdf = udf { (u: Int, i: Int, j: Int, isCat: Boolean, s: Double) =>
           val lnSv = la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0)
           val sVar = math.exp(lnSv)
           if (isCat) {
-            val x  = eps / math.sqrt(2.0 * sVar)
-            val q  = quality(eps, sVar)
+            val x  = Eps / math.sqrt(2.0 * sVar)
+            val q  = quality(Eps, sVar)
             val dq = -x * math.exp(-x * x) / math.sqrt(math.Pi)
             (s / q - (1.0 - s) / (1.0 - q)) * dq
           } else {
@@ -218,15 +183,13 @@ object TCrowd {
         def upd(m: Map[Int, Double], dim: String, lo: Double, hi: Double): Map[Int, Double] =
           m.map { case (k, v) =>
             val g = grads.getOrElse((dim, k), 0.0)
-            val nv = math.min(hi, math.max(lo, v + cfg.lr * g))
+            val nv = math.min(hi, math.max(lo, v + Lr * g))
             maxDelta = math.max(maxDelta, math.abs(nv - v))
             k -> nv
           }
-        lnPhi = upd(lnPhi, "w", -8.0, 3.0)
-        if (cfg.learnDifficulty) {
-          lnAlpha = upd(lnAlpha, "r", -2.5, 2.5)
-          lnBeta  = upd(lnBeta, "c", -2.5, 2.5)
-        }
+        lnPhi   = upd(lnPhi, "w", -8.0, 3.0)
+        lnAlpha = upd(lnAlpha, "r", -2.5, 2.5)
+        lnBeta  = upd(lnBeta, "c", -2.5, 2.5)
         step += 1
       }
       statDf.unpersist()
@@ -234,7 +197,7 @@ object TCrowd {
       // Identifiability: alpha*beta*phi is scale-degenerate; re-center row and
       // column difficulties to geometric mean 1 and fold the shift into phi
       // (leaves every alpha_i*beta_j*phi_u product unchanged).
-      if (cfg.learnDifficulty && lnAlpha.nonEmpty && lnBeta.nonEmpty) {
+      if (lnAlpha.nonEmpty && lnBeta.nonEmpty) {
         val ma = lnAlpha.values.sum / lnAlpha.size
         val mb = lnBeta.values.sum / lnBeta.size
         lnAlpha = lnAlpha.map { case (k, v) => k -> (v - ma) }
@@ -245,25 +208,20 @@ object TCrowd {
       val (ncp, nkp) = eStep()
       contPost = ncp; catPost = nkp
       iter += 1
-      converged = maxDelta < cfg.tol
+      converged = maxDelta < Tol
     }
     ans.unpersist()
 
     // --- point estimates (denormalized) -----------------------------------
     val est =
-      contPost.map { case ((i, j), (mu, _)) =>
-        val (m, sd) = stats((j))
-        TruthCell(i, j, mu * sd + m)
-      }.toSeq ++
-      catPost.map { case ((i, j), probs) =>
-        TruthCell(i, j, probs.indices.maxBy(probs.apply).toDouble)
-      }.toSeq
+      Model.denormalize(contPost.map { case ((i, j), (mu, _)) => TruthCell(i, j, mu) }.toSeq, stats) ++
+      catPost.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
 
     TCrowdResult(est, contPost, catPost,
       lnPhi.map { case (k, v) => k -> math.exp(v) },
       lnAlpha.map { case (k, v) => k -> math.exp(v) },
       lnBeta.map { case (k, v) => k -> math.exp(v) },
-      stats, cfg.eps, iter, converged)
+      stats, iter, converged)
   }
 
   /** TC-onlyCate of Table 7: T-Crowd restricted to categorical columns. */

@@ -106,7 +106,7 @@ object Experiments {
   def onlineConfig(rows: Int = 48, seed: Long = 11L): SimConfig =
     Surrogates.restaurantConfig(seed).copy(name = s"Restaurant-$rows", numRows = rows)
 
-  def heuristicStrategies(catCols: Set[Int]): Seq[AssignStrategy] = Seq(
+  def heuristicStrategies: Seq[AssignStrategy] = Seq(
     new RandomStrategy(1L),
     new LoopingStrategy,
     new EntropyStrategy,
@@ -120,10 +120,9 @@ object Experiments {
   def assignmentHeuristics(spark: SparkSession, rows: Int = 48,
                            maxAvg: Double = 3.0): (Map[String, Seq[SimPoint]], String) = {
     val simCfg = onlineConfig(rows)
-    val catCols = simCfg.columns.zipWithIndex.filter(_._1.isCategorical).map(_._2).toSet
     val runCfg = SimRunConfig(maxAvgAnswers = maxAvg, checkpointEvery = 0.5,
       tcrowd = TCrowdConfig(maxIters = 6, gdSteps = 3))
-    val traces = heuristicStrategies(catCols).map { s =>
+    val traces = heuristicStrategies.map { s =>
       Console.err.println(s"[fig5] running ${s.name}")
       s.name -> Assignment.simulate(new CrowdSim(simCfg), spark, s, runCfg)
     }.toMap

@@ -19,10 +19,10 @@ class AssignmentSpec extends CrowdSpec {
     alpha = Map(0 -> 1.0, 1 -> 1.0),
     beta = Map(0 -> 1.0, 1 -> 1.0),
     contStats = Map(1 -> (0.0, 1.0)),
-    eps = 1.0, iterations = 1, converged = true)
+    iterations = 1, converged = true)
 
   private def mkState(res: TCrowdResult = mkResult()): AssignState =
-    new AssignState(2, columns, new Snapshot(res, labelCount, priorVar = 4.0))
+    new AssignState(2, columns, new Snapshot(res, labelCount))
 
   // ----------------------------------------------------------------- Snapshot
 

@@ -17,7 +17,7 @@ class CorrelationSpec extends CrowdSpec {
       yield (i, j) -> (if (j == 0) Array(1.0, 0.0, 0.0) else Array(1.0, 0.0))).toMap
     val contPost = (for (i <- 0 until rows; j <- Seq(2, 3)) yield (i, j) -> (0.0, 0.1)).toMap
     TCrowdResult(Seq.empty, contPost, catPost, Map.empty, Map.empty, Map.empty,
-      Map(2 -> (0.0, 1.0), 3 -> (0.0, 1.0)), eps = 1.0, iterations = 1, converged = true)
+      Map(2 -> (0.0, 1.0), 3 -> (0.0, 1.0)), iterations = 1, converged = true)
   }
 
   private val columns = Seq(ColumnSpec(0, "c3", 3), ColumnSpec(1, "c2", 2),

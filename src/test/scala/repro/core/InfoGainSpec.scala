@@ -112,7 +112,7 @@ class InfoGainSpec extends AnyFunSuite {
 
   // ---------------------------------------------------------------- snapshot
 
-  private def fakeResult: TCrowdResult = TCrowdResult(
+  private def fakeSnapshot: Snapshot = new Snapshot(TCrowdResult(
     estimatesLocal = Seq.empty,
     contPosterior = Map((0, 1) -> (0.0, 0.5)),
     catPosterior = Map((0, 0) -> Array(0.6, 0.4)),
@@ -120,16 +120,16 @@ class InfoGainSpec extends AnyFunSuite {
     alpha = Map(0 -> 1.0),
     beta = Map(0 -> 1.0, 1 -> 1.0),
     contStats = Map(1 -> (0.0, 1.0)),
-    eps = 1.0, iterations = 1, converged = true)
+    iterations = 1, converged = true), labelCount = Map(0 -> 2, 1 -> 0))
+
+  private def g(u: Int, i: Int, j: Int): Double = Assignment.inherentGain(fakeSnapshot, u, i, j)
 
   test("inherentGain: better worker yields larger gain on both datatypes") {
-    val g = inherentGain(fakeResult, Map(0 -> 2, 1 -> 0), priorVar = 4.0) _
     assert(g(7, 0, 0) > g(8, 0, 0)) // categorical cell
     assert(g(7, 0, 1) > g(8, 0, 1)) // continuous cell
   }
 
   test("inherentGain falls back to uniform/prior for unseen cells") {
-    val g = inherentGain(fakeResult, Map(0 -> 2, 1 -> 0), priorVar = 4.0) _
     // unseen categorical cell (5,0): uniform prior -> positive gain
     assert(g(7, 5, 0) > 0)
     // unseen continuous cell (5,1): prior variance -> positive gain
@@ -137,7 +137,6 @@ class InfoGainSpec extends AnyFunSuite {
   }
 
   test("inherentGain for an unknown worker uses unit variance") {
-    val g = inherentGain(fakeResult, Map(0 -> 2, 1 -> 0), priorVar = 4.0) _
     val unknown = g(999, 0, 1)
     assert(math.abs(unknown - continuousGain(0.5, 1.0)) < 1e-12)
   }

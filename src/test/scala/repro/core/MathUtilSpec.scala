@@ -26,14 +26,6 @@ class MathUtilSpec extends AnyFunSuite {
     samples(200, -4, 3.9).foreach(x => assert(erf(x + 0.1) > erf(x)))
   }
 
-  test("erfDeriv matches finite difference") {
-    samples(100, -3, 3).foreach { x =>
-      val h = 1e-5
-      val fd = (erf(x + h) - erf(x - h)) / (2 * h)
-      assert(math.abs(fd - erfDeriv(x)) < 1e-4, s"x=$x")
-    }
-  }
-
   test("quality decreases with variance") {
     samples(100, 0.01, 50).sorted.sliding(2).foreach {
       case Seq(v1, v2) => assert(quality(1.0, v1) >= quality(1.0, v2))

@@ -1,7 +1,8 @@
 package repro.core
 
-import repro.CrowdSpec
-import repro.Oracle
+import org.apache.spark.sql.Row
+import repro.{CrowdSpec, Oracle}
+import repro.baselines.{Glad, ZenCrowd}
 
 class ModelSpec extends CrowdSpec {
 
@@ -77,5 +78,39 @@ class ModelSpec extends CrowdSpec {
     val contOnly = ds.restrictTo(ds.continuousCols, "cont")
     assert(contOnly.answers.count() == 5)
     assert(contOnly.truth.count() == 2)
+  }
+
+  test("normalize and denormalize are inverse on continuous columns only") {
+    val stats = Map(1 -> (16.0, 4.0))
+    assert(Model.normalize(stats, 1, 20.0) == 1.0)
+    assert(Model.normalize(stats, 0, 2.0) == 2.0)
+    val cells = Seq(TruthCell(0, 0, 2.0), TruthCell(0, 1, 1.0))
+    assert(Model.denormalize(cells, stats) == Seq(TruthCell(0, 0, 2.0), TruthCell(0, 1, 20.0)))
+  }
+
+  test("labelPosterior is a softmax over the full label set, unvoted labels at 0") {
+    val post = Model.labelPosterior(Array(Row(0, 0, 2.0, math.log(2.0))), Map(0 -> 3))
+    assert(post.keySet == Set((0, 0)))
+    assert(post((0, 0)).toSeq.map(p => math.round(p * 1e9)) == Seq(250000000L, 250000000L, 500000000L))
+  }
+
+  test("gaussianPosterior combines answer precision with the N(0, PriorVar) prior") {
+    val (mu, tphi) = Model.gaussianPosterior(Array(Row(0, 1, 2.0, 3.0)))((0, 1))
+    assert(math.abs(tphi - 1.0 / (2.0 + 1.0 / Model.PriorVar)) < 1e-12)
+    assert(math.abs(mu - 3.0 * tphi) < 1e-12)
+  }
+
+  test("T-Crowd, GLAD and ZenCrowd reject a categorical answer that is not a label in [0, L)") {
+    val ds = tinyDs
+    val methods: Seq[(String, CrowdDataset => Any)] = Seq(
+      "T-Crowd"  -> (d => TCrowd.infer(d, TCrowdConfig(maxIters = 1, gdSteps = 1))),
+      "GLAD"     -> (d => Glad(iters = 1, gdSteps = 1).infer(d)),
+      "ZenCrowd" -> (d => ZenCrowd(iters = 1).infer(d)),
+    )
+    for (bad <- Seq(1.5, 3.0); (name, infer) <- methods) {
+      val answers = ds.answers.union(Model.answersDf(spark, Seq(Answer(3, 0, 0, bad))))
+      val e = intercept[IllegalArgumentException](infer(ds.copy(answers = answers)))
+      assert(e.getMessage.contains("cell (0, 0)"), s"$name on answer $bad: ${e.getMessage}")
+    }
   }
 }

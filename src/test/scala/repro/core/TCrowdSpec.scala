@@ -142,12 +142,6 @@ class TCrowdSpec extends CrowdSpec {
     assert(avgVar(dense) < avgVar(sparse))
   }
 
-  test("learnDifficulty=false pins alpha and beta at 1") {
-    val r = TCrowd.infer(ds, TCrowdConfig(maxIters = 4, gdSteps = 2, learnDifficulty = false))
-    assert(r.alpha.values.forall(a => math.abs(a - 1.0) < 1e-12))
-    assert(r.beta.values.forall(b => math.abs(b - 1.0) < 1e-12))
-  }
-
   test("works on a dataset with a single answer per cell") {
     val tiny = new CrowdSim(SimConfig("single", 10,
       Seq(SimColumn("c", numLabels = 3), SimColumn("x", 0, 0, 10)),
