@@ -16,15 +16,17 @@ object BaselineUtil {
   /** Weighted label vote: per categorical cell, the label with the largest
     * total weight (ties to the smallest label, deterministically). Input must
     * be pre-filtered to categorical answers and carry a `w` column.
+    *
+    * @throws IllegalArgumentException if an answer is not a [[Model.label]]
     */
-  def weightedVote(catAnswers: DataFrame): Map[(Int, Int), Int] =
+  def weightedVote(catAnswers: DataFrame, labelCount: Map[Int, Int]): Map[(Int, Int), Int] =
     catAnswers
       .groupBy("row", "col", "value")
       .agg(sum("w").as("sw"))
       .collect()
       .groupBy(r => (r.getInt(0), r.getInt(1)))
-      .map { case (cell, rs) =>
-        cell -> rs.map(r => (r.getDouble(2).toInt, r.getDouble(3)))
+      .map { case (cell @ (i, j), rs) =>
+        cell -> rs.map(r => (Model.label(i, j, r.getDouble(2), labelCount(j)), r.getDouble(3)))
           .minBy { case (lbl, sw) => (-sw, lbl) }._1
       }
 
@@ -47,10 +49,10 @@ object BaselineUtil {
   /** Truth update of CRH/CATD under per-worker weights: weighted vote on the
     * categorical and weighted mean on the continuous normalized answers.
     */
-  def weightedTruth(ans: DataFrame, weights: Map[Int, Double]): Estimates = {
+  def weightedTruth(ans: DataFrame, weights: Map[Int, Double], labelCount: Map[Int, Int]): Estimates = {
     val wUdf = udf { (u: Int) => weights(u) }
     val withW = ans.withColumn("w", wUdf(col("worker")))
-    (weightedVote(withW.filter(col("isCat"))), weightedMean(withW.filter(!col("isCat"))))
+    (weightedVote(withW.filter(col("isCat")), labelCount), weightedMean(withW.filter(!col("isCat"))))
   }
 
   /** Adds each answer's `loss` against the estimates: 0/1 on categorical

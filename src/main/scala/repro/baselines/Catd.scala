@@ -26,7 +26,7 @@ final case class Catd(iters: Int = 5) extends InferenceMethod {
 
     var it = 0
     while (it < iters) {
-      est = BaselineUtil.weightedTruth(ans, weights)
+      est = BaselineUtil.weightedTruth(ans, weights, ds.labelCount)
       weights = BaselineUtil.withLoss(ans, est)
         .groupBy("worker").agg(sum("loss").as("d"), count(lit(1)).as("n"))
         .collect()

@@ -24,7 +24,7 @@ final case class Crh(iters: Int = 10) extends InferenceMethod {
 
     var it = 0
     while (it < iters) {
-      est = BaselineUtil.weightedTruth(ans, weights)
+      est = BaselineUtil.weightedTruth(ans, weights, ds.labelCount)
       val d = BaselineUtil.withLoss(ans, est)
         .groupBy("worker").agg(sum("loss").as("d"))
         .collect()

@@ -32,10 +32,10 @@ final case class DawidSkene(iters: Int = 8) extends InferenceMethod {
     var post: Map[(Int, Int), Array[Double]] = ans
       .groupBy("row", "col", "value").agg(count(lit(1)).as("n")).collect()
       .groupBy(r => (r.getInt(0), r.getInt(1)))
-      .map { case (cell @ (_, j), rs) =>
+      .map { case (cell @ (i, j), rs) =>
         val l = labelCount(j)
         val counts = Array.fill(l)(0.1)
-        rs.foreach(r => counts(r.getDouble(2).toInt) += r.getLong(3).toDouble)
+        rs.foreach(r => counts(Model.label(i, j, r.getDouble(2), l)) += r.getLong(3).toDouble)
         val z = counts.sum
         cell -> counts.map(_ / z)
       }

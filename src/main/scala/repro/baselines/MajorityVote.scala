@@ -15,6 +15,6 @@ object MajorityVote extends InferenceMethod {
     val catCols = ds.categoricalCols.map(_.col)
     if (catCols.isEmpty) return Seq.empty
     val cat = ds.answers.filter(col("col").isin(catCols: _*)).withColumn("w", lit(1.0))
-    BaselineUtil.weightedVote(cat).map { case ((i, j), z) => TruthCell(i, j, z.toDouble) }.toSeq
+    BaselineUtil.weightedVote(cat, ds.labelCount).map { case ((i, j), z) => TruthCell(i, j, z.toDouble) }.toSeq
   }
 }

@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.core.MathUtil._
+import scala.collection.mutable
 
 /** Parameters of a conditional error distribution `P(e_j | e_k = cond)`
   * estimated from paired samples: `mean`/`variance` of `e_j` (for a
@@ -92,87 +91,60 @@ final case class CorrelationModel(
 
 object Correlation {
 
-  /** Estimate the correlation model from the collected answers and the
-    * current truth estimates. Two aggregations over the self-joined
-    * per-answer error relation: bivariate moments per ordered attribute pair
-    * (for `W_jk` and the cont|cont case) and conditional moments per pair
-    * with a categorical conditioner.
+  /** Estimate the correlation model from the answers and the current truth
+    * estimates, in one driver-side pass over the collected answers: each
+    * answer's error ([[errors]]), the per-attribute marginals, and, over
+    * every ordered pair of one worker's answers on one row on different
+    * attributes, the bivariate moments per attribute pair (for `W_jk` and the
+    * cont|cont case) and the moments conditioned on a categorical attribute.
     *
     * @param res used for the truth estimates and normalization stats
     */
   def estimate(ds: CrowdDataset, res: TCrowdResult): CorrelationModel = {
     val isCat = ds.columns.map(c => c.col -> c.isCategorical).toMap
-    val errDf = errors(ds, res).cache()
-    errDf.count()
+    val answers = Model.sortedAnswers(ds.answers.collect())
+    val e = answers.map(errors(ds.labelCount, res))
 
-    val marginal = errDf.groupBy("col")
-      .agg(avg("e").as("m"), coalesce(var_pop(col("e")), lit(0.0)).as("v"), count(lit(1)).as("n"))
-      .collect()
-      .map(r => r.getInt(0) -> CondDist(r.getDouble(1), r.getDouble(2), r.getLong(3)))
-      .toMap
-
-    val a = errDf.select(col("worker"), col("row"), col("col").as("jcol"), col("e").as("ej"))
-    val b = errDf.select(col("worker"), col("row"), col("col").as("kcol"), col("e").as("ek"))
-    val pairs = a.join(b, Seq("worker", "row")).filter(col("jcol") =!= col("kcol")).cache()
-    pairs.count()
-
-    val moments = pairs.groupBy("jcol", "kcol").agg(
-      count(lit(1)).as("n"),
-      avg("ej").as("muj"), avg("ek").as("muk"),
-      coalesce(var_pop(col("ej")), lit(0.0)).as("vj"),
-      coalesce(var_pop(col("ek")), lit(0.0)).as("vk"),
-      coalesce(covar_pop(col("ej"), col("ek")), lit(0.0)).as("cov"),
-    ).collect()
-
-    // column order after groupBy(jcol,kcol): n=2, muj=3, muk=4, vj=5, vk=6, cov=7.
-    // Pearson W_jk (Eq. 8) is derived from the moments on the driver — the
-    // `corr` aggregate would throw under ANSI mode when a group's errors are
-    // constant (common in early online rounds); a degenerate pair gets W=0.
-    val weight = moments.map { r =>
-      val vj = r.getDouble(5); val vk = r.getDouble(6)
-      val w = if (vj <= 0 || vk <= 0) 0.0 else r.getDouble(7) / math.sqrt(vj * vk)
-      (r.getInt(0), r.getInt(1)) -> w
-    }.toMap
-    val contPair = moments.map { r =>
-      (r.getInt(0), r.getInt(1)) ->
-        (r.getDouble(3), r.getDouble(4), r.getDouble(5), r.getDouble(6), r.getDouble(7))
-    }.toMap
-
-    val catConds = isCat.filter(_._2).keySet.toSeq
-    val condOnCat =
-      if (catConds.isEmpty) Map.empty[(Int, Int, Int), CondDist]
-      else pairs.filter(col("kcol").isin(catConds: _*))
-        .groupBy("jcol", "kcol", "ek")
-        .agg(avg("ej").as("m"), coalesce(var_pop(col("ej")), lit(0.0)).as("v"), count(lit(1)).as("n"))
-        .collect()
-        .map(r => (r.getInt(0), r.getInt(1), r.getDouble(2).toInt) ->
-          CondDist(r.getDouble(3), r.getDouble(4), r.getLong(5)))
-        .toMap
-
-    pairs.unpersist(); errDf.unpersist()
-    CorrelationModel(isCat, marginal, weight, condOnCat, contPair)
-  }
-
-  /** Per-answer error vs the current truth estimate: 0/1 for categorical,
-    * z-normalized signed difference for continuous (paper §5.2 definitions).
-    */
-  def errors(ds: CrowdDataset, res: TCrowdResult): DataFrame = {
-    val labelCount = ds.labelCount
-    val stats = res.contStats
-    val contMu = res.contPosterior
-    val catArg: Map[(Int, Int), Int] =
-      res.catPosterior.map { case (c, p) => c -> argmax(p) }
-    val errUdf = udf { (i: Int, j: Int, v: Double) =>
-      if (labelCount.getOrElse(j, 0) > 0) {
-        catArg.get((i, j)) match {
-          case Some(t) => if (t == v.toInt) 0.0 else 1.0
-          case None    => 0.0
-        }
-      } else {
-        Model.normalize(stats, j, v) - contMu.get((i, j)).map(_._1).getOrElse(0.0)
+    val marginal = mutable.Map.empty[Int, Moments]
+    val pair = mutable.Map.empty[(Int, Int), Moments]
+    val cond = mutable.Map.empty[(Int, Int, Int), Moments]
+    answers.indices.foreach(p => marginal.getOrElseUpdate(answers(p).col, new Moments).add(e(p)))
+    val contexts = answers.indices.groupBy(p => (answers(p).row, answers(p).worker)).toSeq.sortBy(_._1)
+    for ((_, ctx) <- contexts; p <- ctx; q <- ctx) {
+      val j = answers(p).col; val k = answers(q).col
+      if (j != k) {
+        pair.getOrElseUpdate((j, k), new Moments).add(e(p), e(q))
+        if (isCat.getOrElse(k, false)) cond.getOrElseUpdate((j, k, e(q).toInt), new Moments).add(e(p))
       }
     }
-    ds.answers.select(col("worker"), col("row"), col("col"),
-      errUdf(col("row"), col("col"), col("value")).as("e"))
+
+    // Pearson W_jk (Eq. 8); a pair whose errors are constant gets W = 0.
+    val weight = pair.map { case (jk, m) =>
+      jk -> (if (m.varX <= 0 || m.varY <= 0) 0.0 else m.cov / math.sqrt(m.varX * m.varY))
+    }.toMap
+    val contPair = pair.map { case (jk, m) => jk -> (m.meanX, m.meanY, m.varX, m.varY, m.cov) }.toMap
+    def dist(m: Moments) = CondDist(m.meanX, m.varX, m.n)
+    CorrelationModel(isCat, marginal.map { case (j, m) => j -> dist(m) }.toMap, weight,
+      cond.map { case (c, m) => c -> dist(m) }.toMap, contPair)
+  }
+
+  /** The error of one answer vs the current truth estimate: 0/1 for
+    * categorical, z-normalized signed difference for continuous (paper §5.2
+    * definitions). A cell without an estimate counts as truth 0 (continuous)
+    * or as answered correctly (categorical).
+    *
+    * @throws IllegalArgumentException if a categorical answer is not a
+    *         [[Model.label]]
+    */
+  def errors(labelCount: Map[Int, Int], res: TCrowdResult): Answer => Double = {
+    val catArg: Map[(Int, Int), Int] = res.catPosterior.map { case (c, p) => c -> argmax(p) }
+    a => labelCount.getOrElse(a.col, 0) match {
+      case 0 =>
+        Model.normalize(res.contStats, a.col, a.value) -
+          res.contPosterior.get((a.row, a.col)).map(_._1).getOrElse(0.0)
+      case l =>
+        val z = Model.label(a.row, a.col, a.value, l)
+        if (catArg.get((a.row, a.col)).forall(_ == z)) 0.0 else 1.0
+    }
   }
 }

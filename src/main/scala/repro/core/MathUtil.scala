@@ -2,9 +2,10 @@ package repro.core
 
 /** Numeric substrate shared by the inference and assignment modules.
   *
-  * Everything here is pure and driver/executor safe (no allocation beyond
-  * the call, serializable by construction), so it can be used inside Spark
-  * UDFs as well as in driver-side planning code.
+  * Everything here except the [[Moments]] accumulator is pure and
+  * driver/executor safe (no allocation beyond the call, serializable by
+  * construction), so it can be used inside Spark UDFs as well as in
+  * driver-side code.
   */
 object MathUtil {
 
@@ -124,5 +125,25 @@ object MathUtil {
       i += 1
     }
     if (sxx <= 0 || syy <= 0) 0.0 else sxy / math.sqrt(sxx * syy)
+  }
+
+  /** Population moments of paired samples `(x, y)`, updated with the rule
+    * of Spark's `var_pop`/`covar_pop` (Welford). A constant sample has
+    * variance exactly 0; a plain two-pass mean can miss a constant by an ulp
+    * (three samples of 0.1) and leave a tiny positive variance.
+    */
+  final class Moments {
+    var n = 0L
+    var meanX, meanY, cxx, cyy, cxy = 0.0
+    def add(x: Double, y: Double): Unit = {
+      n += 1
+      val dx = x - meanX; val dy = y - meanY
+      meanX += dx / n; meanY += dy / n
+      cxx += dx * (x - meanX); cyy += dy * (y - meanY); cxy += dx * (y - meanY)
+    }
+    def add(x: Double): Unit = add(x, x)
+    def varX: Double = cxx / n
+    def varY: Double = cyy / n
+    def cov: Double  = cxy / n
   }
 }

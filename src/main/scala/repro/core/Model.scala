@@ -92,7 +92,9 @@ object Model {
   /** Per-column mean/std of the *answers* of continuous columns, used to
     * z-normalize values so a single worker variance is meaningful across
     * columns of different scales (see DESIGN.md §6). Std is floored at 1e-9
-    * so constant columns normalize to 0 rather than NaN.
+    * so constant columns normalize to 0 rather than NaN. Each column's
+    * values are gathered and summed in sorted order, so the stats do not
+    * depend on how the answer relation is partitioned.
     */
   def continuousStats(ds: CrowdDataset): Map[Int, (Double, Double)] = {
     val contCols = ds.continuousCols.map(_.col)
@@ -100,9 +102,13 @@ object Model {
     ds.answers
       .filter(col("col").isin(contCols: _*))
       .groupBy("col")
-      .agg(avg("value").as("mu"), coalesce(stddev_pop(col("value")), lit(0.0)).as("sd"))
+      .agg(collect_list("value"))
       .collect()
-      .map(r => r.getInt(0) -> (r.getDouble(1), math.max(r.getDouble(2), 1e-9)))
+      .map { r =>
+        val m = new MathUtil.Moments
+        r.getSeq[Double](1).sorted.foreach(v => m.add(v))
+        r.getInt(0) -> (m.meanX, math.max(math.sqrt(m.varX), 1e-9))
+      }
       .toMap
   }
 
@@ -139,34 +145,54 @@ object Model {
       }
     }
 
-  /** Continuous E-step (paper §4): the Gaussian truth posterior `(mu, var)`
-    * of each cell under the `N(0, PriorVar)` prior, from collected
-    * `(row, col, sum w, sum w*value)` rows where `w` is each answer's
-    * precision.
+  /** The collected `(worker, row, col, value)` answer rows, sorted by
+    * `(row, col, worker, value)`. Driver-side sums over them then run in one
+    * order, whatever the partitioning or order of the answer relation.
     */
+  def sortedAnswers(rows: Array[Row]): Array[Answer] =
+    rows.map(r => Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))).sorted(answerOrder)
+
+  private val answerOrder: Ordering[Answer] = (x, y) =>
+    if (x.row != y.row) Integer.compare(x.row, y.row)
+    else if (x.col != y.col) Integer.compare(x.col, y.col)
+    else if (x.worker != y.worker) Integer.compare(x.worker, y.worker)
+    else java.lang.Double.compare(x.value, y.value)
+
+  /** The label index of categorical answer `a` on cell `(i, j)`, whose
+    * column has `l` labels. Every method that reads a categorical answer as
+    * a label goes through this check.
+    *
+    * @throws IllegalArgumentException if `a` is not an integer in `[0, l)`
+    */
+  def label(i: Int, j: Int, a: Double, l: Int): Int = {
+    require(a >= 0 && a < l && a == math.rint(a), s"answer $a on cell ($i, $j) is not a label in [0, $l)")
+    a.toInt
+  }
+
+  /** Continuous E-step (paper §4): the Gaussian truth posterior `(mu, var)`
+    * of a cell under the `N(0, PriorVar)` prior, from the sum `sw` of its
+    * answers' precisions `w` and the sum `swv` of `w * value`.
+    */
+  def gaussian(sw: Double, swv: Double): (Double, Double) = {
+    val tphi = 1.0 / (sw + 1.0 / PriorVar)
+    (swv * tphi, tphi)
+  }
+
+  /** [[gaussian]] of each cell from collected `(row, col, sum w, sum w*value)` rows. */
   def gaussianPosterior(rows: Array[Row]): Map[(Int, Int), (Double, Double)] =
-    rows.map { r =>
-      val tphi = 1.0 / (r.getDouble(2) + 1.0 / PriorVar)
-      ((r.getInt(0), r.getInt(1)), (r.getDouble(3) * tphi, tphi))
-    }.toMap
+    rows.map(r => (r.getInt(0), r.getInt(1)) -> gaussian(r.getDouble(2), r.getDouble(3))).toMap
 
   /** Categorical E-step (paper Eq. 4): the label distribution of each cell,
     * a softmax over the column's full label set of collected
     * `(row, col, label, score)` rows; a label nobody answered scores 0.
     *
-    * @throws IllegalArgumentException if an answer is not an integer label
-    *         in `[0, L)` of its column
+    * @throws IllegalArgumentException if an answer is not a [[label]]
     */
   def labelPosterior(rows: Array[Row], labelCount: Map[Int, Int]): Map[(Int, Int), Array[Double]] =
     rows.groupBy(r => (r.getInt(0), r.getInt(1))).map { case (cell @ (i, j), rs) =>
       val l = labelCount(j)
       val score = new Array[Double](l)
-      rs.foreach { r =>
-        val a = r.getDouble(2)
-        require(a >= 0 && a < l && a == math.rint(a),
-          s"answer $a on cell ($i, $j) is not a label in [0, $l)")
-        score(a.toInt) = r.getDouble(3)
-      }
+      rs.foreach(r => score(label(i, j, r.getDouble(2), l)) = r.getDouble(3))
       cell -> softmax(score.toSeq).toArray
     }
 }

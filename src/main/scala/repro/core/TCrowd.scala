@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.MathUtil._
 
 /** Configuration of the T-Crowd EM truth-inference algorithm (paper §4).
@@ -60,12 +59,11 @@ final case class TCrowdResult(
 
 /** T-Crowd truth inference (paper §4): EM over a unified worker model.
   *
-  * Spark layout (DESIGN.md §6): the normalized answer relation is a cached
-  * DataFrame; each E-step is a `groupBy(row,col)` aggregation; each M-step
-  * gradient step is one aggregation over per-answer gradient contributions
-  * exploded to their (worker | row | col) parameter keys. The small
-  * parameter vectors round-trip through the driver between steps, which
-  * bounds lineage depth without checkpointing.
+  * Layout (DESIGN.md §6): Spark computes the continuous column stats
+  * ([[Model.continuousStats]]) and collects the answer relation once; the
+  * whole EM then runs on the driver as loops over primitive arrays (see
+  * [[Em]]), with no Spark job per iteration. The paper's tables are a few
+  * thousand answers, and 128K answers take about 4 MB of arrays.
   */
 object TCrowd {
 
@@ -79,149 +77,8 @@ object TCrowd {
   val Tol = 5e-3
 
   def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult = {
-    val labelCount = ds.labelCount.filter(_._2 > 0)
-
-    // --- normalized, typed answer relation (cached once) ------------------
-    val (norm, stats) = Model.normalized(ds)
-    val ans = norm.cache()
-    ans.count() // materialize
-
-    val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
-    val rows    = ans.select("row").distinct().collect().map(_.getInt(0))
-    val cols    = ds.columns.map(_.col)
-
-    var lnPhi   = workers.map(_ -> 0.0).toMap
-    var lnAlpha = rows.map(_ -> 0.0).toMap
-    var lnBeta  = cols.map(_ -> 0.0).toMap
-
-    // --- E-step -----------------------------------------------------------
-    // Continuous: Gaussian posterior with precision weights 1/(alpha beta phi)
-    // plus the N(0, PriorVar) column prior. Categorical: per-label log-score
-    // sum of ln q - ln((1-q)/(L-1)) over supporting answers, softmax over the
-    // full label set (unvoted labels score 0 relative — see paper Eq. 4).
-    def eStep(): (Map[(Int, Int), (Double, Double)], Map[(Int, Int), Array[Double]]) = {
-      val la = lnAlpha; val lb = lnBeta; val lp = lnPhi
-      val wUdf = udf { (u: Int, i: Int, j: Int) =>
-        math.exp(-(la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0)))
-      }
-      val contPost = Model.gaussianPosterior(ans.filter(!col("isCat"))
-        .withColumn("w", wUdf(col("worker"), col("row"), col("col")))
-        .groupBy("row", "col")
-        .agg(sum("w").as("sw"), sum(expr("w * value")).as("swv"))
-        .collect())
-
-      val lc = labelCount
-      val lamUdf = udf { (u: Int, i: Int, j: Int) =>
-        val s = math.exp(la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0))
-        val q = quality(Eps, s)
-        val l = lc(j)
-        math.log(q) - math.log((1.0 - q) / (l - 1))
-      }
-      val catPost = Model.labelPosterior(ans.filter(col("isCat"))
-        .withColumn("lam", lamUdf(col("worker"), col("row"), col("col")))
-        .groupBy("row", "col", "value")
-        .agg(sum("lam").as("score"))
-        .collect(), labelCount)
-      (contPost, catPost)
-    }
-
-    var (contPost, catPost) = eStep()
-
-    // --- EM loop ----------------------------------------------------------
-    var iter = 0
-    var converged = false
-    while (iter < cfg.maxIters && !converged) {
-      // M-step sufficient statistics are fixed given the posteriors:
-      //   continuous: s = (a - T_mu)^2 + T_phi       (paper Eq. 5 term)
-      //   categorical: s = posterior prob of the answered label
-      val cp = contPost; val kp = catPost
-      val statUdf = udf { (i: Int, j: Int, v: Double, isCat: Boolean) =>
-        if (isCat) kp((i, j))(v.toInt)
-        else {
-          val (mu, tphi) = cp((i, j))
-          (v - mu) * (v - mu) + tphi
-        }
-      }
-      val statDf = ans
-        .withColumn("s", statUdf(col("row"), col("col"), col("value"), col("isCat")))
-        .select("worker", "row", "col", "isCat", "s")
-        .cache()
-      statDf.count()
-
-      var maxDelta = 0.0
-      var step = 0
-      while (step < cfg.gdSteps) {
-        val la = lnAlpha; val lb = lnBeta; val lp = lnPhi
-        // d/d lnS of the expected log-likelihood of one answer; identical for
-        // ln(phi_u), ln(alpha_i), ln(beta_j) since lnS is their sum.
-        val gradUdf = udf { (u: Int, i: Int, j: Int, isCat: Boolean, s: Double) =>
-          val lnSv = la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0)
-          val sVar = math.exp(lnSv)
-          if (isCat) {
-            val x  = Eps / math.sqrt(2.0 * sVar)
-            val q  = quality(Eps, sVar)
-            val dq = -x * math.exp(-x * x) / math.sqrt(math.Pi)
-            (s / q - (1.0 - s) / (1.0 - q)) * dq
-          } else {
-            -0.5 + s / (2.0 * sVar)
-          }
-        }
-        val grads = statDf
-          .withColumn("g", gradUdf(col("worker"), col("row"), col("col"), col("isCat"), col("s")))
-          .select(explode(array(
-            struct(lit("w").as("dim"), col("worker").as("key"), col("g")),
-            struct(lit("r").as("dim"), col("row").as("key"), col("g")),
-            struct(lit("c").as("dim"), col("col").as("key"), col("g")),
-          )).as("x"))
-          .select(col("x.dim"), col("x.key"), col("x.g"))
-          .groupBy("dim", "key")
-          .agg(sum("g").as("sg"), count(lit(1)).as("n"))
-          .collect()
-          .map(r => (r.getString(0), r.getInt(1)) -> (r.getDouble(2) / r.getLong(3)))
-          .toMap
-
-        def upd(m: Map[Int, Double], dim: String, lo: Double, hi: Double): Map[Int, Double] =
-          m.map { case (k, v) =>
-            val g = grads.getOrElse((dim, k), 0.0)
-            val nv = math.min(hi, math.max(lo, v + Lr * g))
-            maxDelta = math.max(maxDelta, math.abs(nv - v))
-            k -> nv
-          }
-        lnPhi   = upd(lnPhi, "w", -8.0, 3.0)
-        lnAlpha = upd(lnAlpha, "r", -2.5, 2.5)
-        lnBeta  = upd(lnBeta, "c", -2.5, 2.5)
-        step += 1
-      }
-      statDf.unpersist()
-
-      // Identifiability: alpha*beta*phi is scale-degenerate; re-center row and
-      // column difficulties to geometric mean 1 and fold the shift into phi
-      // (leaves every alpha_i*beta_j*phi_u product unchanged).
-      if (lnAlpha.nonEmpty && lnBeta.nonEmpty) {
-        val ma = lnAlpha.values.sum / lnAlpha.size
-        val mb = lnBeta.values.sum / lnBeta.size
-        lnAlpha = lnAlpha.map { case (k, v) => k -> (v - ma) }
-        lnBeta  = lnBeta.map { case (k, v) => k -> (v - mb) }
-        lnPhi   = lnPhi.map { case (k, v) => k -> math.min(3.0, math.max(-8.0, v + ma + mb)) }
-      }
-
-      val (ncp, nkp) = eStep()
-      contPost = ncp; catPost = nkp
-      iter += 1
-      converged = maxDelta < Tol
-    }
-    ans.unpersist()
-
-    // --- point estimates (denormalized) -----------------------------------
-    val est =
-      Model.denormalize(contPost.map { case ((i, j), (mu, _)) => TruthCell(i, j, mu) }.toSeq, stats) ++
-      catPost.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
-
-    TCrowdResult(est, contPost, catPost,
-      lnPhi.map { case (k, v) => k -> math.exp(v) },
-      lnAlpha.map { case (k, v) => k -> math.exp(v) },
-      lnBeta.map { case (k, v) => k -> math.exp(v) },
-      stats, iter, converged)
+    val stats = Model.continuousStats(ds)
+    new Em(ds.columns, stats, Model.sortedAnswers(ds.answers.collect())).run(cfg)
   }
 
   /** TC-onlyCate of Table 7: T-Crowd restricted to categorical columns. */
@@ -231,4 +88,175 @@ object TCrowd {
   /** TC-onlyCont of Table 7: T-Crowd restricted to continuous columns. */
   def inferOnlyContinuous(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
     infer(ds.restrictTo(ds.continuousCols, "onlyCont"), cfg)
+}
+
+/** The T-Crowd EM over one collected answer set. Workers, rows, columns and
+  * cells are dense ints; answer `k` is (`worker(k)`, `row(k)`, `col(k)`,
+  * `cell(k)`, `value(k)`), and every EM step is a loop over these arrays.
+  *
+  * @param columns the schema; `beta` covers every schema column
+  * @param stats   continuous column stats of [[Model.continuousStats]]
+  * @param answers raw answers in [[Model.sortedAnswers]] order
+  */
+private final class Em(columns: Seq[ColumnSpec], stats: Map[Int, (Double, Double)], answers: Array[Answer]) {
+  import TCrowd.{Eps, Lr, Tol}
+
+  private val labelsOf = columns.map(c => c.col -> c.numLabels).toMap // 0 for a continuous column
+  for (a <- answers if !labelsOf.contains(a.col))
+    throw new IllegalArgumentException(s"answer on cell (${a.row}, ${a.col}): column ${a.col} is not in the schema")
+
+  private val n = answers.length
+  private val workerIds = answers.map(_.worker).distinct.sorted
+  private val rowIds    = answers.map(_.row).distinct.sorted
+  private val colIds    = columns.map(_.col).toArray
+  private val cellIds   = answers.map(a => (a.row, a.col)).distinct
+  private val cellLabels = cellIds.map(c => labelsOf(c._2))
+
+  private def encode[K](ids: Array[K], key: Answer => K): Array[Int] = {
+    val idx = ids.zipWithIndex.toMap
+    answers.map(a => idx(key(a)))
+  }
+  private val worker = encode(workerIds, _.worker)
+  private val row    = encode(rowIds, _.row)
+  private val col    = encode(colIds, _.col)
+  private val cell   = encode(cellIds, a => (a.row, a.col))
+  /** Label count of answer k's column; 0 if continuous. */
+  private def labels(k: Int): Int = cellLabels(cell(k))
+  /** z-normalized value of a continuous answer, label index of a categorical one. */
+  private val value = answers.map { a =>
+    val l = labelsOf(a.col)
+    if (l > 0) Model.label(a.row, a.col, a.value, l).toDouble else Model.normalize(stats, a.col, a.value)
+  }
+
+  private def answersPer(key: Array[Int], size: Int): Array[Int] = {
+    val m = new Array[Int](size)
+    key.foreach(m(_) += 1)
+    m
+  }
+  private val workerAnswers = answersPer(worker, workerIds.length)
+  private val rowAnswers    = answersPer(row, rowIds.length)
+  private val colAnswers    = answersPer(col, colIds.length)
+
+  private val lnPhi   = new Array[Double](workerIds.length)
+  private val lnAlpha = new Array[Double](rowIds.length)
+  private val lnBeta  = new Array[Double](colIds.length)
+
+  /** ln of answer k's variance `alpha_i * beta_j * phi_u`. */
+  private def lnS(k: Int): Double = lnAlpha(row(k)) + lnBeta(col(k)) + lnPhi(worker(k))
+
+  // Posteriors: (mu, var) of each continuous cell, the label distribution of
+  // each categorical cell.
+  private val mu   = new Array[Double](cellIds.length)
+  private val tphi = new Array[Double](cellIds.length)
+  private val post = new Array[Array[Double]](cellIds.length)
+
+  /** E-step. Continuous: Gaussian posterior with precision weights
+    * 1/(alpha beta phi) plus the N(0, PriorVar) column prior. Categorical:
+    * per-label log-score sum of ln q - ln((1-q)/(L-1)) over supporting
+    * answers, softmax over the full label set (unvoted labels score 0
+    * relative — see paper Eq. 4).
+    */
+  private def eStep(): Unit = {
+    val sw, swv = new Array[Double](cellIds.length)
+    val score = cellLabels.map(l => new Array[Double](l))
+    for (k <- 0 until n) {
+      val c = cell(k)
+      if (labels(k) > 0) {
+        val q = quality(Eps, math.exp(lnS(k)))
+        score(c)(value(k).toInt) += math.log(q) - math.log((1.0 - q) / (labels(k) - 1))
+      } else {
+        val w = math.exp(-lnS(k))
+        sw(c) += w
+        swv(c) += w * value(k)
+      }
+    }
+    for (c <- cellIds.indices) {
+      if (cellLabels(c) > 0) post(c) = softmax(score(c).toSeq).toArray
+      else { val (m, v) = Model.gaussian(sw(c), swv(c)); mu(c) = m; tphi(c) = v }
+    }
+  }
+
+  /** M-step sufficient statistic of each answer, fixed given the posteriors:
+    * continuous `(a - T_mu)^2 + T_phi` (paper Eq. 5 term), categorical the
+    * posterior probability of the answered label.
+    */
+  private def sufficientStats(): Array[Double] =
+    Array.tabulate(n) { k =>
+      val c = cell(k)
+      if (labels(k) > 0) post(c)(value(k).toInt)
+      else { val d = value(k) - mu(c); d * d + tphi(c) }
+    }
+
+  /** One gradient-ascent step on every log-parameter; returns the largest
+    * change. Each key moves by `Lr` times the mean over its answers of
+    * d/d lnS of the answer's expected log-likelihood (identical for ln phi_u,
+    * ln alpha_i and ln beta_j, since lnS is their sum); a column without
+    * answers has gradient 0.
+    */
+  private def gradientStep(s: Array[Double]): Double = {
+    val gPhi   = new Array[Double](lnPhi.length)
+    val gAlpha = new Array[Double](lnAlpha.length)
+    val gBeta  = new Array[Double](lnBeta.length)
+    for (k <- 0 until n) {
+      val sVar = math.exp(lnS(k))
+      val g =
+        if (labels(k) > 0) {
+          val x  = Eps / math.sqrt(2.0 * sVar)
+          val q  = quality(Eps, sVar)
+          val dq = -x * math.exp(-x * x) / math.sqrt(math.Pi)
+          (s(k) / q - (1.0 - s(k)) / (1.0 - q)) * dq
+        } else -0.5 + s(k) / (2.0 * sVar)
+      gPhi(worker(k)) += g; gAlpha(row(k)) += g; gBeta(col(k)) += g
+    }
+    def upd(ln: Array[Double], g: Array[Double], cnt: Array[Int], lo: Double, hi: Double): Double =
+      ln.indices.foldLeft(0.0) { (maxDelta, i) =>
+        val mean = if (cnt(i) == 0) 0.0 else g(i) / cnt(i)
+        val nv = math.min(hi, math.max(lo, ln(i) + Lr * mean))
+        val delta = math.abs(nv - ln(i))
+        ln(i) = nv
+        math.max(maxDelta, delta)
+      }
+    math.max(upd(lnPhi, gPhi, workerAnswers, -8.0, 3.0),
+      math.max(upd(lnAlpha, gAlpha, rowAnswers, -2.5, 2.5), upd(lnBeta, gBeta, colAnswers, -2.5, 2.5)))
+  }
+
+  /** Identifiability: alpha*beta*phi is scale-degenerate; re-center row and
+    * column difficulties to geometric mean 1 and fold the shift into phi
+    * (leaves every alpha_i*beta_j*phi_u product unchanged).
+    */
+  private def renormalize(): Unit =
+    if (lnAlpha.nonEmpty && lnBeta.nonEmpty) {
+      val ma = lnAlpha.sum / lnAlpha.length
+      val mb = lnBeta.sum / lnBeta.length
+      lnAlpha.mapInPlace(_ - ma)
+      lnBeta.mapInPlace(_ - mb)
+      lnPhi.mapInPlace(v => math.min(3.0, math.max(-8.0, v + ma + mb)))
+    }
+
+  def run(cfg: TCrowdConfig): TCrowdResult = {
+    eStep()
+    var iter = 0
+    var converged = false
+    while (iter < cfg.maxIters && !converged) {
+      val s = sufficientStats()
+      var maxDelta = 0.0
+      for (_ <- 0 until cfg.gdSteps) maxDelta = math.max(maxDelta, gradientStep(s))
+      renormalize()
+      eStep()
+      iter += 1
+      converged = maxDelta < Tol
+    }
+
+    val contPost = cellIds.indices.filter(cellLabels(_) == 0).map(c => cellIds(c) -> (mu(c), tphi(c))).toMap
+    val catPost  = cellIds.indices.filter(cellLabels(_) > 0).map(c => cellIds(c) -> post(c)).toMap
+    val est =
+      Model.denormalize(contPost.map { case ((i, j), (m, _)) => TruthCell(i, j, m) }.toSeq, stats) ++
+      catPost.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
+    def params(ids: Array[Int], ln: Array[Double]): Map[Int, Double] =
+      ids.indices.map(i => ids(i) -> math.exp(ln(i))).toMap
+
+    TCrowdResult(est, contPost, catPost,
+      params(workerIds, lnPhi), params(rowIds, lnAlpha), params(colIds, lnBeta),
+      stats, iter, converged)
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.CrowdSpec
+import repro.{CrowdSpec, Oracle}
 import scala.util.Random
 
 /** Structure-aware correlation model (paper §5.2, Tables 4/5). The fixtures
@@ -48,13 +48,54 @@ class CorrelationSpec extends CrowdSpec {
   private lazy val res = mkResult(60)
   private lazy val model = Correlation.estimate(ds, res)
 
+  private lazy val answers = Model.sortedAnswers(ds.answers.collect())
+
   test("errors(): categorical errors are 0/1, continuous errors are signed") {
-    val errs = Correlation.errors(ds, res).collect()
-    errs.foreach { r =>
-      val j = r.getInt(2)
-      val e = r.getDouble(3)
-      if (j <= 1) assert(e == 0.0 || e == 1.0)
+    val err = Correlation.errors(ds.labelCount, res)
+    answers.foreach { a =>
+      val e = err(a)
+      if (a.col <= 1) assert(e == (if (a.value == 0.0) 0.0 else 1.0))
+      else assert(e == a.value) // truth 0, identity stats
     }
+  }
+
+  test("marginals, pair moments and conditionals on a categorical error match DuckDB (oracle-checked)") {
+    import spark.implicits._
+    val err = Correlation.errors(ds.labelCount, res)
+    val errs = answers.toSeq.map(a => (a.worker, a.row, a.col, err(a))).toDF("worker", "row", "col", "e")
+    val e = "CAST(e AS DOUBLE)"
+    Oracle.assertEquivalent(
+      model.marginal.toSeq.map { case (j, d) => (j, d.mean, d.variance, d.n) }.toDF("j", "m", "v", "n"),
+      s"SELECT CAST(col AS INT) AS j, avg($e) AS m, var_pop($e) AS v, count(*) AS n FROM errs GROUP BY 1",
+      "errs" -> errs)
+    val pairs = "FROM errs a JOIN errs b ON a.worker = b.worker AND a.row = b.row AND a.col <> b.col"
+    val (ej, ek) = ("CAST(a.e AS DOUBLE)", "CAST(b.e AS DOUBLE)")
+    Oracle.assertEquivalent(
+      model.contPair.toSeq.map { case ((j, k), (mj, mk, vj, vk, cov)) => (j, k, mj, mk, vj, vk, cov, model.weight((j, k))) }
+        .toDF("j", "k", "muj", "muk", "vj", "vk", "cov", "w"),
+      s"""SELECT CAST(a.col AS INT) AS j, CAST(b.col AS INT) AS k, avg($ej) AS muj, avg($ek) AS muk,
+         |  var_pop($ej) AS vj, var_pop($ek) AS vk, covar_pop($ej, $ek) AS cov,
+         |  CASE WHEN var_pop($ej) <= 0 OR var_pop($ek) <= 0 THEN 0
+         |       ELSE covar_pop($ej, $ek) / sqrt(var_pop($ej) * var_pop($ek)) END AS w
+         |$pairs GROUP BY 1, 2""".stripMargin,
+      "errs" -> errs)
+    Oracle.assertEquivalent(
+      model.condOnCat.toSeq.map { case ((j, k, c), d) => (j, k, c, d.mean, d.variance, d.n) }
+        .toDF("j", "k", "ek", "m", "v", "n"),
+      s"""SELECT CAST(a.col AS INT) AS j, CAST(b.col AS INT) AS k, CAST($ek AS INT) AS ek,
+         |  avg($ej) AS m, var_pop($ej) AS v, count(*) AS n
+         |$pairs WHERE CAST(b.col AS INT) IN (0, 1) GROUP BY 1, 2, 3""".stripMargin,
+      "errs" -> errs)
+  }
+
+  test("a pair of constant errors gets W = 0") {
+    // three (worker, row) contexts whose errors on columns 2 and 3 are all 0.1
+    val answers = for (i <- 0 until 3; j <- Seq(2, 3)) yield Answer(0, i, j, 0.1)
+    val constant = CrowdDataset("const", Model.answersDf(spark, answers), columns,
+      Model.truthDf(spark, Seq.empty))
+    val m = Correlation.estimate(constant, mkResult(3))
+    assert(m.marginal(2).variance == 0.0)
+    assert(m.weight((2, 3)) == 0.0 && m.weight((3, 2)) == 0.0)
   }
 
   test("marginal error distributions are estimated per attribute") {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import repro.{CrowdSpec, Oracle}
-import repro.baselines.{Glad, ZenCrowd}
+import repro.baselines.{DawidSkene, Glad, MajorityVote, ZenCrowd}
 
 class ModelSpec extends CrowdSpec {
 
@@ -50,17 +50,24 @@ class ModelSpec extends CrowdSpec {
     assert(stats.keySet == Set(1))
     val (mu, sd) = stats(1)
     // DuckDB oracle on the same aggregation
-    import org.apache.spark.sql.functions._
-    val sparkAgg = ds.answers.filter(col("col") === 1)
-      .groupBy("col")
-      .agg(avg("value").as("mu"), stddev_pop(col("value")).as("sd"))
+    import spark.implicits._
     Oracle.assertEquivalent(
-      sparkAgg,
-      "SELECT col, avg(CAST(value AS DOUBLE)) AS mu, stddev_pop(CAST(value AS DOUBLE)) AS sd " +
-        "FROM answers WHERE col = '1' GROUP BY col",
+      stats.toSeq.map { case (j, (m, s)) => (j, m, s) }.toDF("col", "mu", "sd"),
+      "SELECT CAST(col AS INT) AS col, avg(CAST(value AS DOUBLE)) AS mu, stddev_pop(CAST(value AS DOUBLE)) AS sd " +
+        "FROM answers WHERE col = '1' GROUP BY 1",
       "answers" -> ds.answers)
     assert(math.abs(mu - 16.0) < 1e-9)
     assert(sd > 0)
+  }
+
+  test("continuousStats does not depend on the partitioning or order of the answers") {
+    val r = new scala.util.Random(4)
+    val answers = (0 until 200).map(k => Row(k % 7, k, 1, 100 * r.nextGaussian()))
+    val stats = Seq(answers, answers.reverse).flatMap(rows => Seq(1, 3, 8).map { k =>
+      Model.continuousStats(tinyDs.copy(answers =
+        spark.createDataFrame(spark.sparkContext.parallelize(rows, k), Model.answerSchema)))
+    })
+    assert(stats.distinct.size == 1)
   }
 
   test("continuousStats is empty for all-categorical datasets") {
@@ -100,17 +107,27 @@ class ModelSpec extends CrowdSpec {
     assert(math.abs(mu - 3.0 * tphi) < 1e-12)
   }
 
-  test("T-Crowd, GLAD and ZenCrowd reject a categorical answer that is not a label in [0, L)") {
+  private def assertRejectsBadLabels(methods: Seq[(String, CrowdDataset => Any)]): Unit = {
     val ds = tinyDs
-    val methods: Seq[(String, CrowdDataset => Any)] = Seq(
-      "T-Crowd"  -> (d => TCrowd.infer(d, TCrowdConfig(maxIters = 1, gdSteps = 1))),
-      "GLAD"     -> (d => Glad(iters = 1, gdSteps = 1).infer(d)),
-      "ZenCrowd" -> (d => ZenCrowd(iters = 1).infer(d)),
-    )
     for (bad <- Seq(1.5, 3.0); (name, infer) <- methods) {
       val answers = ds.answers.union(Model.answersDf(spark, Seq(Answer(3, 0, 0, bad))))
       val e = intercept[IllegalArgumentException](infer(ds.copy(answers = answers)))
       assert(e.getMessage.contains("cell (0, 0)"), s"$name on answer $bad: ${e.getMessage}")
     }
+  }
+
+  test("T-Crowd, GLAD and ZenCrowd reject a categorical answer that is not a label in [0, L)") {
+    assertRejectsBadLabels(Seq(
+      "T-Crowd"  -> (d => TCrowd.infer(d, TCrowdConfig(maxIters = 1, gdSteps = 1))),
+      "GLAD"     -> (d => Glad(iters = 1, gdSteps = 1).infer(d)),
+      "ZenCrowd" -> (d => ZenCrowd(iters = 1).infer(d)),
+    ))
+  }
+
+  test("Dawid-Skene and Majority Voting reject a categorical answer that is not a label in [0, L)") {
+    assertRejectsBadLabels(Seq(
+      "Dawid-Skene" -> (d => DawidSkene(iters = 1).infer(d)),
+      "Maj. Voting" -> (d => MajorityVote.infer(d)),
+    ))
   }
 }
