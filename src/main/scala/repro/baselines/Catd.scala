@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.core.MathUtil.chiSquareQuantile
 
@@ -16,32 +15,20 @@ final case class Catd(iters: Int = 5) extends InferenceMethod {
   val name = "CATD"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val (norm, stats) = Model.normalized(ds)
-    val ans = norm.cache()
-    ans.count()
-    var weights: Map[Int, Double] =
-      ans.select("worker").distinct().collect().map(_.getInt(0) -> 1.0).toMap
-
-    var est: BaselineUtil.Estimates = (Map.empty, Map.empty)
-
-    var it = 0
-    while (it < iters) {
-      est = BaselineUtil.weightedTruth(ans, weights, ds.labelCount)
-      weights = BaselineUtil.withLoss(ans, est)
-        .groupBy("worker").agg(sum("loss").as("d"), count(lit(1)).as("n"))
-        .collect()
-        .map { r =>
-          val du = math.max(r.getDouble(1), 1e-6)
-          // Wilson–Hilferty can go nonpositive in the deep lower tail at
-          // df=1-2; floor the quantile at a tiny positive weight.
-          val chi2 = math.max(1e-3, chiSquareQuantile(Catd.Quantile, r.getLong(2).toInt))
-          r.getInt(0) -> chi2 / du
-        }
-        .toMap
-      it += 1
+    val t = Model.answerTable(ds)
+    val n = new Array[Int](t.workerIds.length)
+    t.worker.foreach(n(_) += 1)
+    // Wilson–Hilferty can go nonpositive in the deep lower tail at df=1-2;
+    // floor the quantile at a tiny positive weight.
+    val chi2 = n.map(nu => math.max(1e-3, chiSquareQuantile(Catd.Quantile, nu)))
+    var weights = Array.fill(t.workerIds.length)(1.0)
+    var est = Array.empty[Double]
+    for (_ <- 0 until iters) {
+      est = BaselineUtil.weightedTruth(t, weights)
+      val d = BaselineUtil.workerLoss(t, est)
+      weights = d.indices.map(u => chi2(u) / math.max(d(u), 1e-6)).toArray
     }
-    ans.unpersist()
-    BaselineUtil.assemble(est, stats)
+    est.indices.map(c => t.estimate(c, est(c)))
   }
 }
 

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** CRH [18]: heterogeneous truth discovery by loss minimization. Alternates
@@ -14,27 +13,15 @@ final case class Crh(iters: Int = 10) extends InferenceMethod {
   val name = "CRH"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val (norm, stats) = Model.normalized(ds)
-    val ans = norm.cache()
-    ans.count()
-    val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
-    var weights: Map[Int, Double] = workers.map(_ -> 1.0).toMap
-
-    var est: BaselineUtil.Estimates = (Map.empty, Map.empty)
-
-    var it = 0
-    while (it < iters) {
-      est = BaselineUtil.weightedTruth(ans, weights, ds.labelCount)
-      val d = BaselineUtil.withLoss(ans, est)
-        .groupBy("worker").agg(sum("loss").as("d"))
-        .collect()
-        .map(r => r.getInt(0) -> math.max(r.getDouble(1), 1e-6))
-        .toMap
-      val total = d.values.sum
-      weights = d.map { case (u, du) => u -> math.log(total / du) }
-      it += 1
+    val t = Model.answerTable(ds)
+    var weights = Array.fill(t.workerIds.length)(1.0)
+    var est = Array.empty[Double]
+    for (_ <- 0 until iters) {
+      est = BaselineUtil.weightedTruth(t, weights)
+      val d = BaselineUtil.workerLoss(t, est).map(math.max(_, 1e-6))
+      val total = d.sum
+      weights = d.map(du => math.log(total / du))
     }
-    ans.unpersist()
-    BaselineUtil.assemble(est, stats)
+    est.indices.map(c => t.estimate(c, est(c)))
   }
 }

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** GTM [37] (Zhao & Han): Gaussian truth model for continuous data only.
@@ -13,42 +12,18 @@ final case class Gtm(iters: Int = 10) extends InferenceMethod {
   val name = "GTM"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val contCols = ds.continuousCols.map(_.col)
-    if (contCols.isEmpty) return Seq.empty
-    val (norm, stats) = Model.normalized(ds)
-    val ans = norm.filter(!col("isCat")).cache()
-    ans.count()
-    val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
-    var sigma2: Map[Int, Double] = workers.map(_ -> 1.0).toMap
-
-    def eStep(): Map[(Int, Int), (Double, Double)] = {
-      val s2 = sigma2
-      val wUdf = udf { (u: Int) => 1.0 / s2(u) }
-      Model.gaussianPosterior(ans.withColumn("w", wUdf(col("worker")))
-        .groupBy("row", "col")
-        .agg(sum("w").as("sw"), sum(expr("w * value")).as("swv"))
-        .collect())
+    val t = Model.answerTable(ds)
+    var sigma2 = Array.fill(t.workerIds.length)(1.0)
+    def eStep() = t.gaussianPosteriors(k => 1.0 / sigma2(t.worker(k)))
+    var (mu, tphi) = eStep()
+    for (_ <- 0 until iters) {
+      sigma2 = t.meanPer(t.contAnswers, t.worker, sigma2.length) { k =>
+        val d = t.value(k) - mu(t.cell(k))
+        d * d + tphi(t.cell(k))
+      }.map(s2 => math.min(100.0, math.max(1e-4, s2)))
+      val (m, v) = eStep()
+      mu = m; tphi = v
     }
-
-    var post = eStep()
-    var it = 0
-    while (it < iters) {
-      val p = post
-      val devUdf = udf { (i: Int, j: Int, v: Double) =>
-        val (mu, tphi) = p((i, j))
-        (v - mu) * (v - mu) + tphi
-      }
-      sigma2 = ans
-        .withColumn("d", devUdf(col("row"), col("col"), col("value")))
-        .groupBy("worker").agg(avg("d").as("s2"))
-        .collect()
-        .map(r => r.getInt(0) -> math.min(100.0, math.max(1e-4, r.getDouble(1))))
-        .toMap
-      post = eStep()
-      it += 1
-    }
-    ans.unpersist()
-    Model.denormalize(
-      post.map { case ((i, j), (mu, _)) => TruthCell(i, j, mu) }.toSeq, stats)
+    t.contCells.toSeq.map(c => t.estimate(c, mu(c)))
   }
 }

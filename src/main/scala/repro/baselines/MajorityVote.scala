@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** Majority Voting (Table 7 "Maj. Voting"): per categorical cell, the most
@@ -12,9 +11,8 @@ object MajorityVote extends InferenceMethod {
   val name = "Maj. Voting"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val catCols = ds.categoricalCols.map(_.col)
-    if (catCols.isEmpty) return Seq.empty
-    val cat = ds.answers.filter(col("col").isin(catCols: _*)).withColumn("w", lit(1.0))
-    BaselineUtil.weightedVote(cat, ds.labelCount).map { case ((i, j), z) => TruthCell(i, j, z.toDouble) }.toSeq
+    val t = Model.answerTable(ds)
+    val est = BaselineUtil.weightedTruth(t, Array.fill(t.workerIds.length)(1.0))
+    t.catCells.toSeq.map(c => t.estimate(c, est(c)))
   }
 }

@@ -1,23 +1,25 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** Median (Table 7 "Median"): per continuous cell, the exact median of the
-  * workers' answers. Robust to spammers but worker-quality-blind.
+  * workers' raw answers, interpolated between the two middle answers of an
+  * even count as Spark's `percentile(value, 0.5)` does. Robust to spammers
+  * but worker-quality-blind.
   */
 object MedianBaseline extends InferenceMethod {
   val name = "Median"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val contCols = ds.continuousCols.map(_.col)
-    if (contCols.isEmpty) return Seq.empty
-    ds.answers
-      .filter(col("col").isin(contCols: _*))
-      .groupBy("row", "col")
-      .agg(expr("percentile(value, 0.5)").as("med"))
-      .collect()
-      .map(r => TruthCell(r.getInt(0), r.getInt(1), r.getDouble(2)))
-      .toSeq
+    val t = Model.answerTable(ds)
+    val raw = Array.fill(t.cellIds.length)(List.empty[Double])
+    for (k <- t.contAnswers) raw(t.cell(k)) ::= t.answers(k).value
+    t.contCells.toSeq.map { c =>
+      val v = raw(c).sorted.toArray
+      val pos = (v.length - 1) * 0.5
+      val (lo, hi) = (pos.floor.toInt, pos.ceil.toInt)
+      val (i, j) = t.cellIds(c)
+      TruthCell(i, j, if (v(lo) == v(hi)) v(lo) else (hi - pos) * v(lo) + (pos - lo) * v(hi))
+    }
   }
 }

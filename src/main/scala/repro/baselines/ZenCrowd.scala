@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.core.MathUtil.{argmax, clampProb}
 
@@ -13,40 +12,16 @@ final case class ZenCrowd(iters: Int = 10) extends InferenceMethod {
   val name = "Zencrowd"
 
   def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val labelCount = ds.labelCount.filter(_._2 > 0)
-    if (labelCount.isEmpty) return Seq.empty
-    val ans = ds.answers.filter(col("col").isin(labelCount.keySet.toSeq: _*)).cache()
-    ans.count()
-    val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
-    var rel: Map[Int, Double] = workers.map(_ -> 0.8).toMap
-
-    def eStep(): Map[(Int, Int), Array[Double]] = {
-      val r = rel; val lc = labelCount
-      val lamUdf = udf { (u: Int, j: Int) =>
-        val q = clampProb(r(u))
-        math.log(q) - math.log((1.0 - q) / (lc(j) - 1))
-      }
-      Model.labelPosterior(ans.withColumn("lam", lamUdf(col("worker"), col("col")))
-        .groupBy("row", "col", "value")
-        .agg(sum("lam").as("score"))
-        .collect(), labelCount)
-    }
-
+    val t = Model.answerTable(ds)
+    var rel = Array.fill(t.workerIds.length)(0.8)
+    def eStep() = t.labelPosteriors(k => clampProb(rel(t.worker(k))))
     var post = eStep()
-    var it = 0
-    while (it < iters) {
+    for (_ <- 0 until iters) {
       val p = post
-      val pUdf = udf { (i: Int, j: Int, a: Int) => p((i, j))(a) }
-      rel = ans
-        .withColumn("pa", pUdf(col("row"), col("col"), col("value").cast("int")))
-        .groupBy("worker").agg(avg("pa").as("r"))
-        .collect()
-        .map(r => r.getInt(0) -> math.min(0.99, math.max(0.05, r.getDouble(1))))
-        .toMap
+      rel = t.meanPer(t.catAnswers, t.worker, rel.length)(k => p(t.cell(k))(t.value(k).toInt))
+        .map(r => math.min(0.99, math.max(0.05, r)))
       post = eStep()
-      it += 1
     }
-    ans.unpersist()
-    post.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
+    t.catCells.toSeq.map(c => t.estimate(c, argmax(post(c)).toDouble))
   }
 }

@@ -175,7 +175,6 @@ final class StructGainStrategy extends AssignStrategy {
   override val needsSnapshot = true
   override val needsCorrelation = true
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val snap = st.snapshot
     val avail = st.availableCells(u)
     if (avail.isEmpty) return None
     Some(avail.maxBy { case (i, j) => Assignment.structureAwareGain(st, u, i, j) })

@@ -92,7 +92,7 @@ final case class CorrelationModel(
 object Correlation {
 
   /** Estimate the correlation model from the answers and the current truth
-    * estimates, in one driver-side pass over the collected answers: each
+    * estimates, in one driver-side pass over the [[AnswerTable]]: each
     * answer's error ([[errors]]), the per-attribute marginals, and, over
     * every ordered pair of one worker's answers on one row on different
     * attributes, the bivariate moments per attribute pair (for `W_jk` and the
@@ -102,7 +102,7 @@ object Correlation {
     */
   def estimate(ds: CrowdDataset, res: TCrowdResult): CorrelationModel = {
     val isCat = ds.columns.map(c => c.col -> c.isCategorical).toMap
-    val answers = Model.sortedAnswers(ds.answers.collect())
+    val answers = Model.answerTable(ds).answers
     val e = answers.map(errors(ds.labelCount, res))
 
     val marginal = mutable.Map.empty[Int, Moments]
@@ -119,9 +119,7 @@ object Correlation {
     }
 
     // Pearson W_jk (Eq. 8); a pair whose errors are constant gets W = 0.
-    val weight = pair.map { case (jk, m) =>
-      jk -> (if (m.varX <= 0 || m.varY <= 0) 0.0 else m.cov / math.sqrt(m.varX * m.varY))
-    }.toMap
+    val weight = pair.map { case (jk, m) => jk -> m.correlation }.toMap
     val contPair = pair.map { case (jk, m) => jk -> (m.meanX, m.meanY, m.varX, m.varY, m.cov) }.toMap
     def dist(m: Moments) = CondDist(m.meanX, m.varX, m.n)
     CorrelationModel(isCat, marginal.map { case (j, m) => j -> dist(m) }.toMap, weight,

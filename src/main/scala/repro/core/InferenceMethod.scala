@@ -4,7 +4,7 @@ package repro.core
   * `infer` consumes only the answer relation + schema of `ds` (never the
   * ground truth) and returns denormalized point estimates.
   */
-trait InferenceMethod extends Serializable {
+trait InferenceMethod {
   def name: String
   def infer(ds: CrowdDataset): Seq[TruthCell]
 }

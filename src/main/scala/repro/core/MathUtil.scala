@@ -2,10 +2,7 @@ package repro.core
 
 /** Numeric substrate shared by the inference and assignment modules.
   *
-  * Everything here except the [[Moments]] accumulator is pure and
-  * driver/executor safe (no allocation beyond the call, serializable by
-  * construction), so it can be used inside Spark UDFs as well as in
-  * driver-side code.
+  * Everything here except the [[Moments]] accumulator is a pure function.
   */
 object MathUtil {
 
@@ -111,22 +108,6 @@ object MathUtil {
     math.exp(-(x - mu) * (x - mu) / (2.0 * v)) / math.sqrt(2.0 * math.Pi * v)
   }
 
-  /** Pearson correlation of two equal-length samples; 0 if degenerate. */
-  def pearson(xs: Seq[Double], ys: Seq[Double]): Double = {
-    require(xs.length == ys.length, "pearson needs equal-length samples")
-    val n = xs.length
-    if (n < 2) return 0.0
-    val mx = xs.sum / n; val my = ys.sum / n
-    var sxy = 0.0; var sxx = 0.0; var syy = 0.0
-    var i = 0
-    while (i < n) {
-      val dx = xs(i) - mx; val dy = ys(i) - my
-      sxy += dx * dy; sxx += dx * dx; syy += dy * dy
-      i += 1
-    }
-    if (sxx <= 0 || syy <= 0) 0.0 else sxy / math.sqrt(sxx * syy)
-  }
-
   /** Population moments of paired samples `(x, y)`, updated with the rule
     * of Spark's `var_pop`/`covar_pop` (Welford). A constant sample has
     * variance exactly 0; a plain two-pass mean can miss a constant by an ulp
@@ -145,5 +126,7 @@ object MathUtil {
     def varX: Double = cxx / n
     def varY: Double = cyy / n
     def cov: Double  = cxy / n
+    /** Pearson correlation of x and y; 0 if either sample is constant. */
+    def correlation: Double = if (varX <= 0 || varY <= 0) 0.0 else cov / math.sqrt(varX * varY)
   }
 }

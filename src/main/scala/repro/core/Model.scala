@@ -1,9 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
-import repro.core.MathUtil.softmax
 
 /** One answer by one worker on one cell. Categorical values are encoded as
   * the label index (0-based) stored in `value`; continuous values are the raw
@@ -93,23 +92,17 @@ object Model {
     * z-normalize values so a single worker variance is meaningful across
     * columns of different scales (see DESIGN.md §6). Std is floored at 1e-9
     * so constant columns normalize to 0 rather than NaN. Each column's
-    * values are gathered and summed in sorted order, so the stats do not
-    * depend on how the answer relation is partitioned.
+    * values are summed in sorted order, so the stats do not depend on the
+    * order of `answers`. Answers on columns outside the schema or on
+    * categorical columns are ignored.
     */
-  def continuousStats(ds: CrowdDataset): Map[Int, (Double, Double)] = {
-    val contCols = ds.continuousCols.map(_.col)
-    if (contCols.isEmpty) return Map.empty
-    ds.answers
-      .filter(col("col").isin(contCols: _*))
-      .groupBy("col")
-      .agg(collect_list("value"))
-      .collect()
-      .map { r =>
-        val m = new MathUtil.Moments
-        r.getSeq[Double](1).sorted.foreach(v => m.add(v))
-        r.getInt(0) -> (m.meanX, math.max(math.sqrt(m.varX), 1e-9))
-      }
-      .toMap
+  def continuousStats(columns: Seq[ColumnSpec], answers: Seq[Answer]): Map[Int, (Double, Double)] = {
+    val contCols = columns.filter(_.isContinuous).map(_.col).toSet
+    answers.filter(a => contCols(a.col)).groupBy(_.col).map { case (j, as) =>
+      val m = new MathUtil.Moments
+      as.map(_.value).sorted.foreach(v => m.add(v))
+      j -> (m.meanX, math.max(math.sqrt(m.varX), 1e-9))
+    }
   }
 
   /** z-normalize value `v` of column `c` with per-column (mean, std) stats;
@@ -121,29 +114,21 @@ object Model {
       case None           => v
     }
 
-  /** The answer relation every inference method works on: continuous values
-    * z-normalized with [[continuousStats]] and an `isCat` flag. Returns the
-    * stats too, for [[denormalize]].
-    */
-  def normalized(ds: CrowdDataset): (DataFrame, Map[Int, (Double, Double)]) = {
-    val stats  = continuousStats(ds)
-    val catSet = ds.labelCount.filter(_._2 > 0).keySet
-    val normUdf = udf((c: Int, v: Double) => normalize(stats, c, v))
-    val df = ds.answers.select(
-      col("worker"), col("row"), col("col"),
-      normUdf(col("col"), col("value")).as("value"),
-      col("col").isin(catSet.toSeq: _*).as("isCat"))
-    (df, stats)
-  }
-
-  /** Map normalized continuous estimates back to raw scale. */
-  def denormalize(cells: Seq[TruthCell], stats: Map[Int, (Double, Double)]): Seq[TruthCell] =
-    cells.map { c =>
-      stats.get(c.col) match {
-        case Some((mu, sd)) => c.copy(value = c.value * sd + mu)
-        case None           => c
-      }
+  /** Inverse of [[normalize]]: map a normalized value of column `c` back to raw scale. */
+  def denormalize(stats: Map[Int, (Double, Double)], c: Int, v: Double): Double =
+    stats.get(c) match {
+      case Some((mu, sd)) => v * sd + mu
+      case None           => v
     }
+
+  /** The data boundary of every inference method: collects the answer
+    * relation of `ds` (one Spark job) into an [[AnswerTable]].
+    *
+    * @throws IllegalArgumentException if an answer is on a column outside
+    *         the schema or is a categorical answer that is not a [[label]]
+    */
+  def answerTable(ds: CrowdDataset): AnswerTable =
+    new AnswerTable(ds.columns, sortedAnswers(ds.answers.collect()))
 
   /** The collected `(worker, row, col, value)` answer rows, sorted by
     * `(row, col, worker, value)`. Driver-side sums over them then run in one
@@ -177,22 +162,4 @@ object Model {
     val tphi = 1.0 / (sw + 1.0 / PriorVar)
     (swv * tphi, tphi)
   }
-
-  /** [[gaussian]] of each cell from collected `(row, col, sum w, sum w*value)` rows. */
-  def gaussianPosterior(rows: Array[Row]): Map[(Int, Int), (Double, Double)] =
-    rows.map(r => (r.getInt(0), r.getInt(1)) -> gaussian(r.getDouble(2), r.getDouble(3))).toMap
-
-  /** Categorical E-step (paper Eq. 4): the label distribution of each cell,
-    * a softmax over the column's full label set of collected
-    * `(row, col, label, score)` rows; a label nobody answered scores 0.
-    *
-    * @throws IllegalArgumentException if an answer is not a [[label]]
-    */
-  def labelPosterior(rows: Array[Row], labelCount: Map[Int, Int]): Map[(Int, Int), Array[Double]] =
-    rows.groupBy(r => (r.getInt(0), r.getInt(1))).map { case (cell @ (i, j), rs) =>
-      val l = labelCount(j)
-      val score = new Array[Double](l)
-      rs.foreach(r => score(label(i, j, r.getDouble(2), l)) = r.getDouble(3))
-      cell -> softmax(score.toSeq).toArray
-    }
 }

@@ -187,7 +187,7 @@ object CrowdSim {
     */
   def addNoise(ds: CrowdDataset, gamma: Double, seed: Long): CrowdDataset = {
     val labelCount = ds.labelCount
-    val stats = Model.continuousStats(ds)
+    val stats = Model.answerTable(ds).stats
     val noisyUdf = udf { (c: Int, v: Double, r1: Double, r2: Double) =>
       val l = labelCount.getOrElse(c, 0)
       if (l > 0) math.floor(r1 * l).min(l - 1).toDouble

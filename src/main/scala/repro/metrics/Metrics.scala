@@ -4,13 +4,16 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.{CrowdDataset, Model, TruthCell}
 
-/** The paper's two effectiveness measures (§6.2), as Spark aggregations.
+/** The paper's two effectiveness measures (§6.2), as Spark aggregations
+  * over the estimates joined with the ground truth.
   *
   * - Error Rate: fraction of categorical cells whose estimated label differs
   *   from the ground truth.
   * - MNAD: per continuous attribute, RMSE(estimate, truth) normalized by the
   *   attribute's standard deviation *of the collected answers* (the paper
   *   names this denominator explicitly in §6.5.2), averaged over attributes.
+  *   The standard deviation is [[Model.continuousStats]]'s, the one every
+  *   inference method normalizes with.
   */
 object Metrics {
 
@@ -30,16 +33,14 @@ object Metrics {
   def mnad(ds: CrowdDataset, estimates: DataFrame): Double = {
     val contCols = ds.continuousCols.map(_.col)
     if (contCols.isEmpty) return Double.NaN
-    val answerSd = ds.answers.filter(col("col").isin(contCols: _*))
-      .groupBy("col").agg(coalesce(stddev_pop(col("value")), lit(0.0)).as("sd"))
+    val answerSd = Model.continuousStats(ds.columns,
+      Model.sortedAnswers(ds.answers.filter(col("col").isin(contCols: _*)).collect()))
     val perCol = ds.truth.filter(col("col").isin(contCols: _*))
       .join(estimates, Seq("row", "col"))
       .groupBy("col")
       .agg(sqrt(avg(pow(col("value") - col("est"), 2))).as("rmse"))
-      .join(answerSd, Seq("col"))
-      .select(col("rmse") / greatest(col("sd"), lit(1e-9)))
       .collect()
-      .map(_.getDouble(0))
+      .flatMap(r => answerSd.get(r.getInt(0)).map { case (_, sd) => r.getDouble(1) / sd })
     if (perCol.isEmpty) Double.NaN else perCol.sum / perCol.length
   }
 

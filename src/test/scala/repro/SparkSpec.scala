@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +17,33 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark jobs that `body` starts. A sentinel job closes the count: the
+    * listener bus delivers events in order, so once the sentinel's start is
+    * seen, every job `body` started has been counted.
+    */
+  def jobsOf(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    var started = 0
+    var sentinel = false
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        if (Option(e.properties).exists(_.getProperty("spark.job.description") == "sentinel")) sentinel = true
+        else started += 1
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      body
+      sc.setJobDescription("sentinel")
+      sc.parallelize(Seq(1), 1).count()
+      sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30000000000L
+      while (!listener.synchronized(sentinel) && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(listener.synchronized(sentinel), "sentinel job not seen")
+      listener.synchronized(started)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import repro.{CrowdSpec, Oracle}
-import repro.baselines.{DawidSkene, Glad, MajorityVote, ZenCrowd}
+import repro.baselines._
 
 class ModelSpec extends CrowdSpec {
 
@@ -44,9 +44,12 @@ class ModelSpec extends CrowdSpec {
     assert(ds.labelCount == Map(0 -> 3, 1 -> 0))
   }
 
+  /** The continuous stats every inference method normalizes with. */
+  private def continuousStats(ds: CrowdDataset) = Model.answerTable(ds).stats
+
   test("continuousStats computes per-column answer mean/std (oracle-checked)") {
     val ds = tinyDs
-    val stats = Model.continuousStats(ds)
+    val stats = continuousStats(ds)
     assert(stats.keySet == Set(1))
     val (mu, sd) = stats(1)
     // DuckDB oracle on the same aggregation
@@ -64,7 +67,7 @@ class ModelSpec extends CrowdSpec {
     val r = new scala.util.Random(4)
     val answers = (0 until 200).map(k => Row(k % 7, k, 1, 100 * r.nextGaussian()))
     val stats = Seq(answers, answers.reverse).flatMap(rows => Seq(1, 3, 8).map { k =>
-      Model.continuousStats(tinyDs.copy(answers =
+      continuousStats(tinyDs.copy(answers =
         spark.createDataFrame(spark.sparkContext.parallelize(rows, k), Model.answerSchema)))
     })
     assert(stats.distinct.size == 1)
@@ -73,7 +76,7 @@ class ModelSpec extends CrowdSpec {
   test("continuousStats is empty for all-categorical datasets") {
     val ds = tinyDs
     val catOnly = ds.restrictTo(ds.categoricalCols, "cat")
-    assert(Model.continuousStats(catOnly).isEmpty)
+    assert(continuousStats(catOnly).isEmpty)
   }
 
   test("restrictTo filters answers and truth") {
@@ -91,30 +94,46 @@ class ModelSpec extends CrowdSpec {
     val stats = Map(1 -> (16.0, 4.0))
     assert(Model.normalize(stats, 1, 20.0) == 1.0)
     assert(Model.normalize(stats, 0, 2.0) == 2.0)
-    val cells = Seq(TruthCell(0, 0, 2.0), TruthCell(0, 1, 1.0))
-    assert(Model.denormalize(cells, stats) == Seq(TruthCell(0, 0, 2.0), TruthCell(0, 1, 20.0)))
+    assert(Model.denormalize(stats, 0, 2.0) == 2.0)
+    assert(Model.denormalize(stats, 1, 1.0) == 20.0)
   }
 
   test("labelPosterior is a softmax over the full label set, unvoted labels at 0") {
-    val post = Model.labelPosterior(Array(Row(0, 0, 2.0, math.log(2.0))), Map(0 -> 3))
-    assert(post.keySet == Set((0, 0)))
-    assert(post((0, 0)).toSeq.map(p => math.round(p * 1e9)) == Seq(250000000L, 250000000L, 500000000L))
+    // one answer, label 2, right with probability 1/2: score ln(0.5) - ln(0.25 / 1) = ln 2
+    val t = new AnswerTable(Seq(ColumnSpec(0, "cat", 3)), Array(Answer(0, 0, 0, 2.0)))
+    val post = t.labelPosteriors(_ => 0.5)
+    assert(t.cellIds.toSeq == Seq((0, 0)))
+    assert(post(0).toSeq.map(p => math.round(p * 1e9)) == Seq(250000000L, 250000000L, 500000000L))
   }
 
   test("gaussianPosterior combines answer precision with the N(0, PriorVar) prior") {
-    val (mu, tphi) = Model.gaussianPosterior(Array(Row(0, 1, 2.0, 3.0)))((0, 1))
-    assert(math.abs(tphi - 1.0 / (2.0 + 1.0 / Model.PriorVar)) < 1e-12)
-    assert(math.abs(mu - 3.0 * tphi) < 1e-12)
+    // answers 0 and 10 normalize to -1 and 1; precisions 0.5 and 1.5 give sum w = 2, sum w*value = 1
+    val t = new AnswerTable(Seq(ColumnSpec(1, "cont", 0)), Array(Answer(0, 0, 1, 0.0), Answer(1, 0, 1, 10.0)))
+    val (mu, tphi) = t.gaussianPosteriors(k => if (t.value(k) < 0) 0.5 else 1.5)
+    assert(math.abs(tphi(0) - 1.0 / (2.0 + 1.0 / Model.PriorVar)) < 1e-12)
+    assert(math.abs(mu(0) - 1.0 * tphi(0)) < 1e-12)
   }
 
-  private def assertRejectsBadLabels(methods: Seq[(String, CrowdDataset => Any)]): Unit = {
+  private def assertRejectsBadLabels(methods: Seq[(String, CrowdDataset => Any)]): Unit =
+    assertRejects(methods, Seq(Answer(3, 0, 0, 1.5), Answer(3, 0, 0, 3.0)), "cell (0, 0)")
+
+  /** Each method rejects the tiny dataset plus each one of `bad`, with a message naming `cell`. */
+  private def assertRejects(methods: Seq[(String, CrowdDataset => Any)], bad: Seq[Answer], cell: String): Unit = {
     val ds = tinyDs
-    for (bad <- Seq(1.5, 3.0); (name, infer) <- methods) {
-      val answers = ds.answers.union(Model.answersDf(spark, Seq(Answer(3, 0, 0, bad))))
+    for (a <- bad; (name, infer) <- methods) {
+      val answers = ds.answers.union(Model.answersDf(spark, Seq(a)))
       val e = intercept[IllegalArgumentException](infer(ds.copy(answers = answers)))
-      assert(e.getMessage.contains("cell (0, 0)"), s"$name on answer $bad: ${e.getMessage}")
+      assert(e.getMessage.contains(cell), s"$name on $a: ${e.getMessage}")
     }
   }
+
+  /** Every method of Table 7, and the MV+Median pairing of the assignment runs. */
+  private val allMethods: Seq[(String, CrowdDataset => Any)] = Seq[InferenceMethod](
+    TCrowdMethod(TCrowdConfig(maxIters = 1, gdSteps = 1)), TCrowdOnlyCate(TCrowdConfig(maxIters = 1, gdSteps = 1)),
+    TCrowdOnlyCont(TCrowdConfig(maxIters = 1, gdSteps = 1)), Crh(iters = 1), Catd(iters = 1), MajorityVote,
+    MedianBaseline, DawidSkene(iters = 1), Glad(iters = 1, gdSteps = 1), ZenCrowd(iters = 1), Gtm(iters = 1),
+    VoteMedian,
+  ).map(m => m.name -> ((d: CrowdDataset) => m.infer(d)))
 
   test("T-Crowd, GLAD and ZenCrowd reject a categorical answer that is not a label in [0, L)") {
     assertRejectsBadLabels(Seq(
@@ -129,5 +148,13 @@ class ModelSpec extends CrowdSpec {
       "Dawid-Skene" -> (d => DawidSkene(iters = 1).infer(d)),
       "Maj. Voting" -> (d => MajorityVote.infer(d)),
     ))
+  }
+
+  test("every inference method rejects a categorical answer that is not a label in [0, L)") {
+    assertRejectsBadLabels(allMethods)
+  }
+
+  test("every inference method rejects an answer on a column outside the schema") {
+    assertRejects(allMethods, Seq(Answer(3, 0, 9, 1.0)), "cell (0, 9)")
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import repro.CrowdSpec
@@ -99,40 +98,12 @@ class TCrowdKernelSpec extends CrowdSpec {
     }
   }
 
-  /** Spark jobs that `body` starts. A sentinel job closes the count: the
-    * listener bus delivers events in order, so once the sentinel's start is
-    * seen, every job `body` started has been counted.
-    */
-  private def jobsOf(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    var started = 0
-    var sentinel = false
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
-        if (Option(e.properties).exists(_.getProperty("spark.job.description") == "sentinel")) sentinel = true
-        else started += 1
-      }
-    }
-    sc.addSparkListener(listener)
-    try {
-      body
-      sc.setJobDescription("sentinel")
-      sc.parallelize(Seq(1), 1).count()
-      sc.setJobDescription(null)
-      val deadline = System.nanoTime() + 30000000000L
-      while (!listener.synchronized(sentinel) && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(listener.synchronized(sentinel), "sentinel job not seen")
-      listener.synchronized(started)
-    } finally sc.removeSparkListener(listener)
-  }
-
   test("EM iterations issue no Spark job, and Correlation.estimate issues one") {
     val short = jobsOf(TCrowd.infer(mixed, TCrowdConfig(maxIters = 1, gdSteps = 1)))
     val long  = jobsOf(TCrowd.infer(mixed, TCrowdConfig(maxIters = 8, gdSteps = 4)))
-    val stats = jobsOf(Model.continuousStats(mixed))
-    info(s"TCrowd.infer: $short jobs at 1x1 iterations, $long at 8x4; continuousStats alone: $stats")
+    info(s"TCrowd.infer: $short jobs at 1x1 iterations, $long at 8x4")
     assert(short == long)
-    assert(long == stats + 1) // the stats aggregation and the single collect
+    assert(long == 1) // the collect of Model.answerTable
     val res = TCrowd.infer(mixed, cfg)
     assert(jobsOf(Correlation.estimate(mixed, res)) == 1)
   }

@@ -53,8 +53,9 @@ class TCrowdSmokeSpec extends CrowdSpec {
     val actual = sim.workerPhi
     val common = est.keySet.intersect(actual.keySet).toSeq
     // higher phi (worse worker) -> lower estimated quality
-    val corr = MathUtil.pearson(common.map(u => math.log(actual(u))),
-                                common.map(u => est(u)))
+    val m = new MathUtil.Moments
+    common.foreach(u => m.add(math.log(actual(u)), est(u)))
+    val corr = m.correlation
     info(f"corr(log true phi, est quality) = $corr%.3f")
     assert(corr < -0.5)
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.core.MathUtil._
 import repro.core.TCrowd.{Eps, Lr, Tol}
@@ -18,7 +19,7 @@ object TCrowdSparkReference {
     val labelCount = ds.labelCount.filter(_._2 > 0)
 
     // --- normalized, typed answer relation (cached once) ------------------
-    val (norm, stats) = Model.normalized(ds)
+    val (norm, stats) = normalized(ds)
     val ans = norm.cache()
     ans.count() // materialize
 
@@ -40,7 +41,7 @@ object TCrowdSparkReference {
       val wUdf = udf { (u: Int, i: Int, j: Int) =>
         math.exp(-(la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0)))
       }
-      val contPost = Model.gaussianPosterior(ans.filter(!col("isCat"))
+      val contPost = gaussianPosterior(ans.filter(!col("isCat"))
         .withColumn("w", wUdf(col("worker"), col("row"), col("col")))
         .groupBy("row", "col")
         .agg(sum("w").as("sw"), sum(expr("w * value")).as("swv"))
@@ -53,7 +54,7 @@ object TCrowdSparkReference {
         val l = lc(j)
         math.log(q) - math.log((1.0 - q) / (l - 1))
       }
-      val catPost = Model.labelPosterior(ans.filter(col("isCat"))
+      val catPost = labelPosterior(ans.filter(col("isCat"))
         .withColumn("lam", lamUdf(col("worker"), col("row"), col("col")))
         .groupBy("row", "col", "value")
         .agg(sum("lam").as("score"))
@@ -150,7 +151,7 @@ object TCrowdSparkReference {
 
     // --- point estimates (denormalized) -----------------------------------
     val est =
-      Model.denormalize(contPost.map { case ((i, j), (mu, _)) => TruthCell(i, j, mu) }.toSeq, stats) ++
+      contPost.map { case ((i, j), (mu, _)) => TruthCell(i, j, Model.denormalize(stats, j, mu)) }.toSeq ++
       catPost.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
 
     TCrowdResult(est, contPost, catPost,
@@ -159,4 +160,34 @@ object TCrowdSparkReference {
       lnBeta.map { case (k, v) => k -> math.exp(v) },
       stats, iter, converged)
   }
+
+  /** The answer relation with continuous values z-normalized by
+    * [[Model.continuousStats]] and an `isCat` flag, and the stats.
+    */
+  private def normalized(ds: CrowdDataset): (DataFrame, Map[Int, (Double, Double)]) = {
+    val stats  = Model.continuousStats(ds.columns, Model.sortedAnswers(ds.answers.collect()))
+    val catSet = ds.labelCount.filter(_._2 > 0).keySet
+    val normUdf = udf((c: Int, v: Double) => Model.normalize(stats, c, v))
+    val df = ds.answers.select(
+      col("worker"), col("row"), col("col"),
+      normUdf(col("col"), col("value")).as("value"),
+      col("col").isin(catSet.toSeq: _*).as("isCat"))
+    (df, stats)
+  }
+
+  /** [[Model.gaussian]] of each cell from collected `(row, col, sum w, sum w*value)` rows. */
+  private def gaussianPosterior(rows: Array[Row]): Map[(Int, Int), (Double, Double)] =
+    rows.map(r => (r.getInt(0), r.getInt(1)) -> Model.gaussian(r.getDouble(2), r.getDouble(3))).toMap
+
+  /** The label distribution of each cell: a softmax over the column's full
+    * label set of collected `(row, col, label, score)` rows; a label nobody
+    * answered scores 0.
+    */
+  private def labelPosterior(rows: Array[Row], labelCount: Map[Int, Int]): Map[(Int, Int), Array[Double]] =
+    rows.groupBy(r => (r.getInt(0), r.getInt(1))).map { case (cell @ (i, j), rs) =>
+      val l = labelCount(j)
+      val score = new Array[Double](l)
+      rs.foreach(r => score(Model.label(i, j, r.getDouble(2), l)) = r.getDouble(3))
+      cell -> softmax(score.toSeq).toArray
+    }
 }
