@@ -14,8 +14,7 @@ import repro.core.MathUtil.chiSquareQuantile
 final case class Catd(iters: Int = 5) extends InferenceMethod {
   val name = "CATD"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     val n = new Array[Int](t.workerIds.length)
     t.worker.foreach(n(_) += 1)
     // Wilson–Hilferty can go nonpositive in the deep lower tail at df=1-2;

@@ -12,8 +12,7 @@ import repro.core._
 final case class Crh(iters: Int = 10) extends InferenceMethod {
   val name = "CRH"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     var weights = Array.fill(t.workerIds.length)(1.0)
     var est = Array.empty[Double]
     for (_ <- 0 until iters) {

@@ -20,8 +20,7 @@ import scala.collection.mutable
 final case class DawidSkene(iters: Int = 8) extends InferenceMethod {
   val name = "EM"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     val cat = t.catAnswers
     val nCols = t.colIds.length
     def pair(k: Int): Int = t.worker(k) * nCols + t.col(k) // (worker, column) of answer k

@@ -14,8 +14,7 @@ import repro.core.MathUtil.{argmax, clampProb}
 final case class Glad(iters: Int = 8, gdSteps: Int = 4) extends InferenceMethod {
   val name = "GLAD"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     val cat = t.catAnswers
     val abil = Array.fill(t.workerIds.length)(1.0)
     val lnB = new Array[Double](t.cellIds.length)

@@ -11,8 +11,7 @@ import repro.core._
 final case class Gtm(iters: Int = 10) extends InferenceMethod {
   val name = "GTM"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     var sigma2 = Array.fill(t.workerIds.length)(1.0)
     def eStep() = t.gaussianPosteriors(k => 1.0 / sigma2(t.worker(k)))
     var (mu, tphi) = eStep()

@@ -10,8 +10,7 @@ import repro.core._
 object MajorityVote extends InferenceMethod {
   val name = "Maj. Voting"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     val est = BaselineUtil.weightedTruth(t, Array.fill(t.workerIds.length)(1.0))
     t.catCells.toSeq.map(c => t.estimate(c, est(c)))
   }

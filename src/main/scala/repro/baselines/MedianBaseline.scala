@@ -10,8 +10,7 @@ import repro.core._
 object MedianBaseline extends InferenceMethod {
   val name = "Median"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     val raw = Array.fill(t.cellIds.length)(List.empty[Double])
     for (k <- t.contAnswers) raw(t.cell(k)) ::= t.answers(k).value
     t.contCells.toSeq.map { c =>

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{CrowdDataset, InferenceMethod, TruthCell}
+import repro.core.{AnswerTable, InferenceMethod, TruthCell}
 
 /** Quality-blind heterogeneous aggregation: majority vote on categorical
   * columns + median on continuous columns. This is the inference model
@@ -9,6 +9,6 @@ import repro.core.{CrowdDataset, InferenceMethod, TruthCell}
   */
 object VoteMedian extends InferenceMethod {
   val name = "MV+Median"
-  def infer(ds: CrowdDataset): Seq[TruthCell] =
-    MajorityVote.infer(ds) ++ MedianBaseline.infer(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] =
+    MajorityVote.infer(t) ++ MedianBaseline.infer(t)
 }

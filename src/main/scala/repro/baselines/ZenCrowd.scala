@@ -11,8 +11,7 @@ import repro.core.MathUtil.{argmax, clampProb}
 final case class ZenCrowd(iters: Int = 10) extends InferenceMethod {
   val name = "Zencrowd"
 
-  def infer(ds: CrowdDataset): Seq[TruthCell] = {
-    val t = Model.answerTable(ds)
+  def infer(t: AnswerTable): Seq[TruthCell] = {
     var rel = Array.fill(t.workerIds.length)(0.8)
     def eStep() = t.labelPosteriors(k => clampProb(rel(t.worker(k))))
     var post = eStep()

@@ -2,28 +2,33 @@ package repro.core
 
 import repro.core.MathUtil.softmax
 
-/** The answer relation of one dataset, collected once and encoded for the
-  * driver-side loops of every inference method: T-Crowd, the Table 7
-  * baselines and the §5.2 correlation estimate (DESIGN.md §6). Built by
-  * [[Model.answerTable]], the one Spark job of an `infer` call.
+/** The answer relation of one dataset, encoded for the driver-side loops of
+  * every inference method, the §5.2 correlation estimate and the metrics
+  * (DESIGN.md §6). Built by [[Model.answerTable]]: from a batch dataset with
+  * one Spark job, from an online session's answer log with none.
   *
-  * The answers are in [[Model.sortedAnswers]] order, so every sum over them
-  * runs in one order whatever the partitioning of the relation. Workers,
-  * rows, schema columns and answered cells are dense ints: answer `k` is
-  * (`worker(k)`, `row(k)`, `col(k)`, `cell(k)`, `value(k)`), where `value`
-  * is the label index of a categorical answer and the z-normalized value of
-  * a continuous one.
+  * The answers are sorted by `(row, col, worker, value)`, so every sum over
+  * them runs in one order whatever the partitioning of the relation.
+  * Workers, rows, schema columns and answered cells are dense ints: answer
+  * `k` is (`worker(k)`, `row(k)`, `col(k)`, `cell(k)`, `value(k)`), where
+  * `value` is the label index of a categorical answer and the z-normalized
+  * value of a continuous one.
   *
   * @param columns the schema; `col` indexes `columns`
-  * @param answers raw answers in [[Model.sortedAnswers]] order
+  * @param answers raw answers, sorted as above
   * @throws IllegalArgumentException naming the cell, for an answer on a
-  *         column outside the schema or a categorical answer that is not a
-  *         [[Model.label]]
+  *         column outside the schema, a categorical answer that is not a
+  *         [[Model.label]] or a continuous answer that is not finite
   */
-final class AnswerTable private[core] (columns: Seq[ColumnSpec], val answers: Array[Answer]) {
-  private val labelsOf = columns.map(c => c.col -> c.numLabels).toMap // 0 for a continuous column
-  for (a <- answers if !labelsOf.contains(a.col))
-    throw new IllegalArgumentException(s"answer on cell (${a.row}, ${a.col}): column ${a.col} is not in the schema")
+final class AnswerTable private[core] (val columns: Seq[ColumnSpec], val answers: Array[Answer]) {
+  /** Label count of each schema column; 0 if continuous. */
+  val labelsOf: Map[Int, Int] = columns.map(c => c.col -> c.numLabels).toMap
+  for (a <- answers) {
+    if (!labelsOf.contains(a.col))
+      throw new IllegalArgumentException(s"answer on cell (${a.row}, ${a.col}): column ${a.col} is not in the schema")
+    if (labelsOf(a.col) == 0 && !java.lang.Double.isFinite(a.value))
+      throw new IllegalArgumentException(s"answer ${a.value} on cell (${a.row}, ${a.col}) is not a finite number")
+  }
 
   /** Per-column (mean, std) of the continuous answers ([[Model.continuousStats]]). */
   val stats: Map[Int, (Double, Double)] = Model.continuousStats(columns, answers)
@@ -57,10 +62,11 @@ final class AnswerTable private[core] (columns: Seq[ColumnSpec], val answers: Ar
   val catAnswers: Array[Int]  = (0 until size).filter(labels(_) > 0).toArray
   val contAnswers: Array[Int] = (0 until size).filter(labels(_) == 0).toArray
 
-  /** The table of the answers on `cols` only (TC-onlyCate, TC-onlyCont). */
-  def restrictTo(cols: Seq[ColumnSpec]): AnswerTable = {
-    val keep = cols.map(_.col).toSet
-    new AnswerTable(cols, answers.filter(a => keep(a.col)))
+  /** The table of the answers on the columns that satisfy `keep` (TC-onlyCate, TC-onlyCont). */
+  def restrictTo(keep: ColumnSpec => Boolean): AnswerTable = {
+    val cols = columns.filter(keep)
+    val kept = cols.map(_.col).toSet
+    new AnswerTable(cols, answers.filter(a => kept(a.col)))
   }
 
   /** Mean of `x` over the answers `ks`, per key: `key` maps an answer to one

@@ -351,12 +351,17 @@ object Assignment {
     out.toSeq
   }
 
+  /** One online session of `strategy` on the simulated crowd `sim`. It runs
+    * on the driver and issues no Spark job: each checkpoint builds the
+    * [[AnswerTable]] of the answers so far and scores against
+    * `sim.allTruth`. `spark` is unused; it stays in the signature for the
+    * callers that pass it, among them the perfbench harness.
+    */
   def simulate(sim: CrowdSim, spark: SparkSession, strategy: AssignStrategy,
                cfg: SimRunConfig = SimRunConfig()): Seq[SimPoint] = {
     val columns = sim.columnSpecs
     val labelCount = columns.map(c => c.col -> c.numLabels).toMap
-    val truth = Model.truthDf(spark, sim.allTruth).cache()
-    truth.count()
+    val truth = sim.allTruth
     val nCells = sim.cfg.numRows * columns.size
 
     val st = new AssignState(sim.cfg.numRows, columns,
@@ -370,24 +375,21 @@ object Assignment {
       strategy.observe(u, i, c.col, a.value)
     }
 
-    def currentDs: CrowdDataset =
-      CrowdDataset(sim.cfg.name, Model.answersDf(spark, st.log.toSeq), columns, truth)
-
     val points = mutable.Buffer.empty[SimPoint]
     def checkpoint(): Unit = {
-      val ds = currentDs
+      val t = Model.answerTable(columns, st.log)
       // Full EM refresh only when the strategy consumes the snapshot /
       // correlation model or the metrics are T-Crowd's own estimates;
       // self-contained systems (CDAS, AskIt, CRH, CATD) skip it.
       val needTc = strategy.needsSnapshot || strategy.needsCorrelation || cfg.inference.isEmpty
-      val res = if (needTc) Some(TCrowd.infer(ds, cfg.tcrowd)) else None
+      val res = if (needTc) Some(TCrowd.infer(t, cfg.tcrowd)) else None
       res.foreach(r => if (strategy.needsSnapshot) st.snapshot.refresh(r))
-      if (strategy.needsCorrelation) st.corr = res.map(r => Correlation.estimate(ds, r))
+      if (strategy.needsCorrelation) st.corr = res.map(r => Correlation.estimate(t, r))
       val estimates = cfg.inference match {
-        case Some(m) => m.infer(ds)
+        case Some(m) => m.infer(t)
         case None    => res.get.estimatesLocal
       }
-      val (er, mn) = Metrics.evaluate(ds, estimates)
+      val (er, mn) = Metrics.evaluate(t, truth, estimates)
       points += SimPoint(st.log.size.toDouble / nCells, er, mn)
     }
 
@@ -409,7 +411,6 @@ object Assignment {
       }
     }
     if (st.log.size != lastCheckpointSize) checkpoint()
-    truth.unpersist()
     points.toSeq
   }
 

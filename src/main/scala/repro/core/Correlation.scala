@@ -98,12 +98,13 @@ object Correlation {
     * attributes, the bivariate moments per attribute pair (for `W_jk` and the
     * cont|cont case) and the moments conditioned on a categorical attribute.
     *
+    * @param t   the answers `res` was inferred from
     * @param res used for the truth estimates and normalization stats
     */
-  def estimate(ds: CrowdDataset, res: TCrowdResult): CorrelationModel = {
-    val isCat = ds.columns.map(c => c.col -> c.isCategorical).toMap
-    val answers = Model.answerTable(ds).answers
-    val e = answers.map(errors(ds.labelCount, res))
+  def estimate(t: AnswerTable, res: TCrowdResult): CorrelationModel = {
+    val isCat = t.columns.map(c => c.col -> c.isCategorical).toMap
+    val answers = t.answers
+    val e = errors(t, res)
 
     val marginal = mutable.Map.empty[Int, Moments]
     val pair = mutable.Map.empty[(Int, Int), Moments]
@@ -126,23 +127,21 @@ object Correlation {
       cond.map { case (c, m) => c -> dist(m) }.toMap, contPair)
   }
 
-  /** The error of one answer vs the current truth estimate: 0/1 for
-    * categorical, z-normalized signed difference for continuous (paper §5.2
-    * definitions). A cell without an estimate counts as truth 0 (continuous)
-    * or as answered correctly (categorical).
-    *
-    * @throws IllegalArgumentException if a categorical answer is not a
-    *         [[Model.label]]
+  /** The error of each answer of `t` vs the current truth estimate: 0/1 for
+    * categorical, signed difference for continuous, the answer normalized
+    * with `res.contStats` (paper §5.2 definitions). A cell without an
+    * estimate counts as truth 0 (continuous) or as answered correctly
+    * (categorical).
     */
-  def errors(labelCount: Map[Int, Int], res: TCrowdResult): Answer => Double = {
+  def errors(t: AnswerTable, res: TCrowdResult): Array[Double] = {
     val catArg: Map[(Int, Int), Int] = res.catPosterior.map { case (c, p) => c -> argmax(p) }
-    a => labelCount.getOrElse(a.col, 0) match {
-      case 0 =>
+    Array.tabulate(t.size) { k =>
+      val a = t.answers(k)
+      if (t.labels(k) == 0)
         Model.normalize(res.contStats, a.col, a.value) -
           res.contPosterior.get((a.row, a.col)).map(_._1).getOrElse(0.0)
-      case l =>
-        val z = Model.label(a.row, a.col, a.value, l)
-        if (catArg.get((a.row, a.col)).forall(_ == z)) 0.0 else 1.0
+      else if (catArg.get((a.row, a.col)).forall(_ == t.value(k).toInt)) 0.0
+      else 1.0
     }
   }
 }

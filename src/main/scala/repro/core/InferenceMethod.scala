@@ -1,26 +1,28 @@
 package repro.core
 
 /** Common interface of every truth-inference method compared in Table 7.
-  * `infer` consumes only the answer relation + schema of `ds` (never the
-  * ground truth) and returns denormalized point estimates.
+  * A method reads only the answers and schema of an [[AnswerTable]] (never
+  * the ground truth) and returns denormalized point estimates.
   */
 trait InferenceMethod {
   def name: String
-  def infer(ds: CrowdDataset): Seq[TruthCell]
+  def infer(t: AnswerTable): Seq[TruthCell]
+  /** [[infer]] on the collected answer relation of `ds` (one Spark job). */
+  final def infer(ds: CrowdDataset): Seq[TruthCell] = infer(Model.answerTable(ds))
 }
 
 /** T-Crowd as an [[InferenceMethod]] (full / only-categorical / only-continuous). */
 final case class TCrowdMethod(cfg: TCrowdConfig = TCrowdConfig()) extends InferenceMethod {
   val name = "T-Crowd"
-  def infer(ds: CrowdDataset): Seq[TruthCell] = TCrowd.infer(ds, cfg).estimatesLocal
+  def infer(t: AnswerTable): Seq[TruthCell] = TCrowd.infer(t, cfg).estimatesLocal
 }
 
 final case class TCrowdOnlyCate(cfg: TCrowdConfig = TCrowdConfig()) extends InferenceMethod {
   val name = "TC-onlyCate"
-  def infer(ds: CrowdDataset): Seq[TruthCell] = TCrowd.inferOnlyCategorical(ds, cfg).estimatesLocal
+  def infer(t: AnswerTable): Seq[TruthCell] = TCrowd.infer(t.restrictTo(_.isCategorical), cfg).estimatesLocal
 }
 
 final case class TCrowdOnlyCont(cfg: TCrowdConfig = TCrowdConfig()) extends InferenceMethod {
   val name = "TC-onlyCont"
-  def infer(ds: CrowdDataset): Seq[TruthCell] = TCrowd.inferOnlyContinuous(ds, cfg).estimatesLocal
+  def infer(t: AnswerTable): Seq[TruthCell] = TCrowd.infer(t.restrictTo(_.isContinuous), cfg).estimatesLocal
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 
 /** One answer by one worker on one cell. Categorical values are encoded as
@@ -41,19 +40,6 @@ final case class CrowdDataset(
   def categoricalCols: Seq[ColumnSpec] = columns.filter(_.isCategorical)
   def continuousCols: Seq[ColumnSpec]  = columns.filter(_.isContinuous)
   def labelCount: Map[Int, Int]        = columns.map(c => c.col -> c.numLabels).toMap
-
-  /** Restrict the instance to a subset of columns (used by the TC-onlyCate /
-    * TC-onlyCont constrained variants of Table 7).
-    */
-  def restrictTo(cols: Seq[ColumnSpec], suffix: String): CrowdDataset = {
-    val keep = cols.map(_.col).toSet
-    CrowdDataset(
-      s"$name-$suffix",
-      answers.filter(col("col").isin(keep.toSeq: _*)),
-      cols,
-      truth.filter(col("col").isin(keep.toSeq: _*)),
-    )
-  }
 }
 
 object Model {
@@ -124,18 +110,23 @@ object Model {
   /** The data boundary of every inference method: collects the answer
     * relation of `ds` (one Spark job) into an [[AnswerTable]].
     *
-    * @throws IllegalArgumentException if an answer is on a column outside
-    *         the schema or is a categorical answer that is not a [[label]]
+    * @throws IllegalArgumentException as [[AnswerTable]] does
     */
   def answerTable(ds: CrowdDataset): AnswerTable =
-    new AnswerTable(ds.columns, sortedAnswers(ds.answers.collect()))
+    answerTable(ds.columns, ds.answers.collect().map(answer))
 
-  /** The collected `(worker, row, col, value)` answer rows, sorted by
-    * `(row, col, worker, value)`. Driver-side sums over them then run in one
-    * order, whatever the partitioning or order of the answer relation.
+  /** The [[AnswerTable]] of driver-side `answers` under the schema
+    * `columns`. The answers are sorted by `(row, col, worker, value)`, so
+    * every sum over them runs in one order, whatever the order or
+    * partitioning they came in.
+    *
+    * @throws IllegalArgumentException as [[AnswerTable]] does
     */
-  def sortedAnswers(rows: Array[Row]): Array[Answer] =
-    rows.map(r => Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))).sorted(answerOrder)
+  def answerTable(columns: Seq[ColumnSpec], answers: Iterable[Answer]): AnswerTable =
+    new AnswerTable(columns, answers.toArray.sorted(answerOrder))
+
+  /** A `(worker, row, col, value)` row of an answer relation. */
+  def answer(r: Row): Answer = Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))
 
   private val answerOrder: Ordering[Answer] = (x, y) =>
     if (x.row != y.row) Integer.compare(x.row, y.row)

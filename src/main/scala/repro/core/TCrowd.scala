@@ -71,15 +71,18 @@ object TCrowd {
   val Tol = 5e-3
 
   def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
-    new Em(Model.answerTable(ds)).run(cfg)
+    infer(Model.answerTable(ds), cfg)
 
   /** TC-onlyCate of Table 7: T-Crowd restricted to categorical columns. */
   def inferOnlyCategorical(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
-    new Em(Model.answerTable(ds).restrictTo(ds.categoricalCols)).run(cfg)
+    infer(Model.answerTable(ds).restrictTo(_.isCategorical), cfg)
 
   /** TC-onlyCont of Table 7: T-Crowd restricted to continuous columns. */
   def inferOnlyContinuous(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
-    new Em(Model.answerTable(ds).restrictTo(ds.continuousCols)).run(cfg)
+    infer(Model.answerTable(ds).restrictTo(_.isContinuous), cfg)
+
+  /** T-Crowd on an already collected answer table; runs no Spark job. */
+  def infer(t: AnswerTable, cfg: TCrowdConfig): TCrowdResult = new Em(t).run(cfg)
 }
 
 /** The T-Crowd EM over one [[AnswerTable]]; every EM step is a loop over

@@ -59,23 +59,22 @@ object Experiments {
     * surrogate datasets.
     */
   def table7(spark: SparkSession, cfg: TCrowdConfig = benchCfg): (Seq[Score], String) = {
-    val datasets = Surrogates.all(spark).map { ds => ds.copy(answers = ds.answers.cache()) }
     val scores =
       for {
-        ds <- datasets
+        ds <- Surrogates.all(spark)
+        t = Model.answerTable(ds)
+        truth = Metrics.truthOf(ds)
         method <- heterogeneousMethods(cfg) ++
           (if (ds.categoricalCols.nonEmpty) categoricalMethods(cfg) else Seq.empty) ++
           (if (ds.continuousCols.nonEmpty) continuousMethods(cfg) else Seq.empty)
       } yield {
         val t0 = System.nanoTime()
-        val est = method.infer(ds)
-        val (er, mn) = Metrics.evaluate(ds, est)
+        val (er, mn) = Metrics.evaluate(t, truth, method.infer(t))
         val secs = (System.nanoTime() - t0) / 1e9
         Console.err.println(f"[table7] ${ds.name}%-10s ${method.name}%-12s " +
           f"error=${fmt(er)} mnad=${fmt(mn)} (${secs}%.1f s)")
         Score(method.name, ds.name, er, mn)
       }
-    datasets.foreach(_.answers.unpersist())
     (scores, renderTable7(scores))
   }
 
@@ -188,14 +187,12 @@ object Experiments {
   def sweepPoint(spark: SparkSession, cfg: SimConfig,
                  tcrowdCfg: TCrowdConfig = benchCfg): Seq[Score] = {
     val ds = new CrowdSim(cfg).dataset(spark)
-    ds.answers.cache()
-    val out = heterogeneousMethods(tcrowdCfg).map { m =>
-      val (er, mn) = Metrics.evaluate(ds, m.infer(ds))
+    val (t, truth) = (Model.answerTable(ds), Metrics.truthOf(ds))
+    heterogeneousMethods(tcrowdCfg).map { m =>
+      val (er, mn) = Metrics.evaluate(t, truth, m.infer(t))
       Console.err.println(f"[sweep] ${cfg.name}%-22s ${m.name}%-8s error=${fmt(er)} mnad=${fmt(mn)}")
       Score(m.name, cfg.name, er, mn)
     }
-    ds.answers.unpersist()
-    out
   }
 
   def renderSweep(title: String, rows: Seq[(String, Seq[Score])]): String = {
@@ -214,17 +211,16 @@ object Experiments {
   def noise(spark: SparkSession, gammas: Seq[Double] = Seq(0.1, 0.2, 0.3, 0.4),
             tcrowdCfg: TCrowdConfig = benchCfg): (Seq[(Double, Seq[Score])], String) = {
     val base = Surrogates.celebrity(spark)
+    val truth = Metrics.truthOf(base)
     val rows = gammas.map { g =>
       val noisy = CrowdSim.addNoise(base, g, seed = 101L)
-      noisy.answers.cache()
+      val t = Model.answerTable(noisy)
       val methods: Seq[InferenceMethod] = Seq(TCrowdMethod(tcrowdCfg), Crh(), Gtm())
-      val scores = methods.map { m =>
-        val (er, mn) = Metrics.evaluate(noisy, m.infer(noisy))
+      g -> methods.map { m =>
+        val (er, mn) = Metrics.evaluate(t, truth, m.infer(t))
         Console.err.println(f"[noise] gamma=$g ${m.name}%-8s error=${fmt(er)} mnad=${fmt(mn)}")
         Score(m.name, noisy.name, er, mn)
       }
-      noisy.answers.unpersist()
-      g -> scores
     }
     val rendered = renderSweep("Figure 10 (as table): noise robustness on Celebrity surrogate",
       rows.map { case (g, s) => (f"g=$g%.1f", s) })
@@ -234,7 +230,9 @@ object Experiments {
   // ----------------------------------------------- Fig 12b: throughput
 
   /** Figure 12(b) (as table): truth-inference throughput (answers/second)
-    * at growing answer-set sizes; the paper's claim is linear scaling.
+    * at growing answer-set sizes; the paper's claim is linear scaling. The
+    * answer table is collected before the clock starts, so the time is
+    * T-Crowd's EM alone.
     */
   def throughput(spark: SparkSession, sizes: Seq[Int] = Seq(2000, 8000, 32000))
       : (Seq[(Int, Double)], String) = {
@@ -243,12 +241,10 @@ object Experiments {
       val rows = math.max(4, n / 20)
       val cfg = sweepConfig(m = 4, r = 0.5, difficulty = 1.0).copy(
         name = s"throughput-$n", numRows = rows)
-      val ds = new CrowdSim(cfg).dataset(spark)
-      ds.answers.cache(); ds.answers.count()
+      val t = Model.answerTable(new CrowdSim(cfg).dataset(spark))
       val t0 = System.nanoTime()
-      TCrowd.infer(ds, TCrowdConfig(maxIters = 5, gdSteps = 3))
+      TCrowd.infer(t, TCrowdConfig(maxIters = 5, gdSteps = 3))
       val secs = (System.nanoTime() - t0) / 1e9
-      ds.answers.unpersist()
       val rate = n / secs
       Console.err.println(f"[throughput] |A|=$n -> $secs%.1f s (${rate}%.0f answers/s)")
       n -> rate

@@ -2,7 +2,6 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
@@ -34,6 +33,30 @@ object Oracle {
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val (dCols, dRows) = run(sql, tables)
+    val sCols = sparkDf.columns.toSeq
+    require(
+      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+    )
+    val got = canon(sparkDf.collect().toSeq, sCols)
+    val exp = canon(dRows, dCols)
+    require(got == exp,
+      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
+      s"  first spark-only: ${got.diff(exp).take(3)}\n" +
+      s"  first duck-only:  ${exp.diff(got).take(3)}"
+    )
+  }
+
+  /** The rows of `sql` run on DuckDB over `tables`, for checks against
+    * driver-side results that have no DataFrame to compare with.
+    */
+  def query(sql: String, tables: (String, DataFrame)*): Seq[Row] = run(sql, tables)._2
+
+  /** Loads `tables` (every column as VARCHAR) into a fresh in-process DuckDB
+    * and returns the column labels and rows of `sql`.
+    */
+  private def run(sql: String, tables: Seq[(String, DataFrame)]): (Seq[String], Seq[Row]) = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -60,18 +83,7 @@ object Oracle {
         .takeWhile(_.next())
         .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
         .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-      )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+      (dCols, dRows)
     } finally conn.close()
   }
 }

@@ -17,7 +17,7 @@ class CategoricalBaselinesSpec extends CrowdSpec {
     seed = 31L,
   ))
   private lazy val ds = sim.dataset(spark)
-  private lazy val mvError = Metrics.errorRate(ds, MajorityVote.infer(ds))
+  private lazy val mvError = Metrics.evaluate(ds, MajorityVote.infer(ds))._1
 
   // A tiny instance where one consistently-right worker faces two noisy
   // workers whose wrong answers scatter (4 labels, so wrong answers do not
@@ -38,7 +38,7 @@ class CategoricalBaselinesSpec extends CrowdSpec {
   }
 
   test("DawidSkene achieves a reasonable error rate") {
-    val er = Metrics.errorRate(ds, DawidSkene().infer(ds))
+    val er = Metrics.evaluate(ds, DawidSkene().infer(ds))._1
     info(f"D&S error=$er%.4f (MV=$mvError%.4f)")
     assert(er < 0.5)
   }
@@ -57,18 +57,18 @@ class CategoricalBaselinesSpec extends CrowdSpec {
   }
 
   test("DawidSkene returns empty for continuous-only data") {
-    val contOnly = ds.restrictTo(Seq.empty, "none").copy(columns = Seq(ColumnSpec(0, "x", 0)))
+    val contOnly = Model.answerTable(Seq(ColumnSpec(0, "x", 0)), Seq.empty)
     assert(DawidSkene().infer(contOnly).isEmpty)
   }
 
   test("ZenCrowd achieves a reasonable error rate") {
-    val er = Metrics.errorRate(ds, ZenCrowd().infer(ds))
+    val er = Metrics.evaluate(ds, ZenCrowd().infer(ds))._1
     info(f"ZenCrowd error=$er%.4f (MV=$mvError%.4f)")
     assert(er <= mvError + 0.05)
   }
 
   test("ZenCrowd outvotes coordinated low-quality workers") {
-    val er = Metrics.errorRate(adversarialDs, ZenCrowd(iters = 20).infer(adversarialDs))
+    val er = Metrics.evaluate(adversarialDs, ZenCrowd(iters = 20).infer(adversarialDs))._1
     info(f"ZenCrowd adversarial error=$er%.4f")
     assert(er < 0.5)
   }
@@ -83,7 +83,7 @@ class CategoricalBaselinesSpec extends CrowdSpec {
   }
 
   test("GLAD achieves a reasonable error rate") {
-    val er = Metrics.errorRate(ds, Glad().infer(ds))
+    val er = Metrics.evaluate(ds, Glad().infer(ds))._1
     info(f"GLAD error=$er%.4f (MV=$mvError%.4f)")
     assert(er <= mvError + 0.05)
   }
@@ -93,7 +93,7 @@ class CategoricalBaselinesSpec extends CrowdSpec {
   }
 
   test("GLAD returns empty for continuous-only data") {
-    val contOnly = ds.restrictTo(Seq.empty, "none").copy(columns = Seq(ColumnSpec(0, "x", 0)))
+    val contOnly = Model.answerTable(Seq(ColumnSpec(0, "x", 0)), Seq.empty)
     assert(Glad().infer(contOnly).isEmpty)
   }
 

@@ -24,8 +24,8 @@ class ContinuousBaselinesSpec extends CrowdSpec {
 
   test("GTM beats the plain mean on spammer-heavy data") {
     // mean = GTM with zero iterations of quality learning; compare to Median
-    val gtm = Metrics.mnad(ds, Gtm().infer(ds))
-    val med = Metrics.mnad(ds, MedianBaseline.infer(ds))
+    val gtm = Metrics.evaluate(ds, Gtm().infer(ds))._2
+    val med = Metrics.evaluate(ds, MedianBaseline.infer(ds))._2
     info(f"GTM=$gtm%.4f Median=$med%.4f")
     assert(gtm < med)
   }
@@ -44,10 +44,10 @@ class ContinuousBaselinesSpec extends CrowdSpec {
     }
     val d = CrowdDataset("oracleW", Model.answersDf(spark, answers), cols,
       Model.truthDf(spark, truth))
-    val mnad = Metrics.mnad(d, Gtm(iters = 15).infer(d))
-    val mean = Metrics.mnad(d,
+    val mnad = Metrics.evaluate(d, Gtm(iters = 15).infer(d))._2
+    val mean = Metrics.evaluate(d,
       d.answers.groupBy("row", "col").agg(org.apache.spark.sql.functions.avg("value").as("est"))
-        .collect().map(x => TruthCell(x.getInt(0), x.getInt(1), x.getDouble(2))).toSeq)
+        .collect().map(x => TruthCell(x.getInt(0), x.getInt(1), x.getDouble(2))).toSeq)._2
     info(f"GTM=$mnad%.4f mean=$mean%.4f")
     assert(mnad < mean * 0.6)
   }

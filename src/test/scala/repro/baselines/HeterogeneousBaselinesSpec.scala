@@ -22,8 +22,8 @@ class HeterogeneousBaselinesSpec extends CrowdSpec {
     seed = 41L,
   ))
   private lazy val ds = sim.dataset(spark)
-  private lazy val mvError = Metrics.errorRate(ds, MajorityVote.infer(ds))
-  private lazy val medMnad = Metrics.mnad(ds, MedianBaseline.infer(ds))
+  private lazy val mvError = Metrics.evaluate(ds, MajorityVote.infer(ds))._1
+  private lazy val medMnad = Metrics.evaluate(ds, MedianBaseline.infer(ds))._2
 
   test("CRH estimates every cell of both datatypes") {
     val est = Crh().infer(ds)
@@ -51,8 +51,8 @@ class HeterogeneousBaselinesSpec extends CrowdSpec {
     val best = sim.workerPhi.minBy(_._2)._1
     import org.apache.spark.sql.functions._
     val degraded = ds.copy(answers = ds.answers.filter(col("worker") =!= best))
-    val full = Metrics.mnad(ds, Crh().infer(ds))
-    val less = Metrics.mnad(degraded, Crh().infer(degraded))
+    val full = Metrics.evaluate(ds, Crh().infer(ds))._2
+    val less = Metrics.evaluate(degraded, Crh().infer(degraded))._2
     info(f"full=$full%.4f withoutBest=$less%.4f")
     assert(full <= less + 0.05)
   }
@@ -84,15 +84,15 @@ class HeterogeneousBaselinesSpec extends CrowdSpec {
   }
 
   test("CRH works on categorical-only and continuous-only restrictions") {
-    val catOnly = ds.restrictTo(ds.categoricalCols, "cat")
-    val contOnly = ds.restrictTo(ds.continuousCols, "cont")
+    val t = Model.answerTable(ds)
+    val (catOnly, contOnly) = (t.restrictTo(_.isCategorical), t.restrictTo(_.isContinuous))
     assert(Crh().infer(catOnly).size == 80)
     assert(Crh().infer(contOnly).size == 80)
   }
 
   test("CATD works on categorical-only and continuous-only restrictions") {
-    val catOnly = ds.restrictTo(ds.categoricalCols, "cat")
-    val contOnly = ds.restrictTo(ds.continuousCols, "cont")
+    val t = Model.answerTable(ds)
+    val (catOnly, contOnly) = (t.restrictTo(_.isCategorical), t.restrictTo(_.isContinuous))
     assert(Catd().infer(catOnly).size == 80)
     assert(Catd().infer(contOnly).size == 80)
   }

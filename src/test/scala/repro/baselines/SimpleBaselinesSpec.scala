@@ -71,7 +71,7 @@ class SimpleBaselinesSpec extends CrowdSpec {
   }
 
   test("MajorityVote is robust to a spammer minority") {
-    assert(repro.metrics.Metrics.errorRate(catDs, MajorityVote.infer(catDs)) == 0.0)
+    assert(repro.metrics.Metrics.evaluate(catDs, MajorityVote.infer(catDs))._1 == 0.0)
   }
 
   test("Median computes the exact per-cell median") {
@@ -91,7 +91,7 @@ class SimpleBaselinesSpec extends CrowdSpec {
   }
 
   test("Median shrugs off a single outlier") {
-    assert(repro.metrics.Metrics.mnad(contDs, MedianBaseline.infer(contDs)) == 0.0)
+    assert(repro.metrics.Metrics.evaluate(contDs, MedianBaseline.infer(contDs))._2 == 0.0)
   }
 
   test("Median on a categorical-only dataset is empty") {

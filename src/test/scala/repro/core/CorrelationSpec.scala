@@ -46,14 +46,15 @@ class CorrelationSpec extends CrowdSpec {
 
   private lazy val ds = mkDataset(rows = 60, workers = 6)
   private lazy val res = mkResult(60)
-  private lazy val model = Correlation.estimate(ds, res)
+  private lazy val table = Model.answerTable(ds)
+  private lazy val model = Correlation.estimate(table, res)
 
-  private lazy val answers = Model.sortedAnswers(ds.answers.collect())
+  private lazy val answers = table.answers
 
   test("errors(): categorical errors are 0/1, continuous errors are signed") {
-    val err = Correlation.errors(ds.labelCount, res)
-    answers.foreach { a =>
-      val e = err(a)
+    val err = Correlation.errors(table, res)
+    answers.indices.foreach { k =>
+      val (a, e) = (answers(k), err(k))
       if (a.col <= 1) assert(e == (if (a.value == 0.0) 0.0 else 1.0))
       else assert(e == a.value) // truth 0, identity stats
     }
@@ -61,8 +62,9 @@ class CorrelationSpec extends CrowdSpec {
 
   test("marginals, pair moments and conditionals on a categorical error match DuckDB (oracle-checked)") {
     import spark.implicits._
-    val err = Correlation.errors(ds.labelCount, res)
-    val errs = answers.toSeq.map(a => (a.worker, a.row, a.col, err(a))).toDF("worker", "row", "col", "e")
+    val err = Correlation.errors(table, res)
+    val errs = answers.indices.map(k => (answers(k).worker, answers(k).row, answers(k).col, err(k)))
+      .toDF("worker", "row", "col", "e")
     val e = "CAST(e AS DOUBLE)"
     Oracle.assertEquivalent(
       model.marginal.toSeq.map { case (j, d) => (j, d.mean, d.variance, d.n) }.toDF("j", "m", "v", "n"),
@@ -93,7 +95,7 @@ class CorrelationSpec extends CrowdSpec {
     val answers = for (i <- 0 until 3; j <- Seq(2, 3)) yield Answer(0, i, j, 0.1)
     val constant = CrowdDataset("const", Model.answersDf(spark, answers), columns,
       Model.truthDf(spark, Seq.empty))
-    val m = Correlation.estimate(constant, mkResult(3))
+    val m = Correlation.estimate(Model.answerTable(constant), mkResult(3))
     assert(m.marginal(2).variance == 0.0)
     assert(m.weight((2, 3)) == 0.0 && m.weight((3, 2)) == 0.0)
   }

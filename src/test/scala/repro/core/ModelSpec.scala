@@ -75,19 +75,23 @@ class ModelSpec extends CrowdSpec {
 
   test("continuousStats is empty for all-categorical datasets") {
     val ds = tinyDs
-    val catOnly = ds.restrictTo(ds.categoricalCols, "cat")
+    val catOnly = restrictTo(ds, ds.categoricalCols, "cat")
     assert(continuousStats(catOnly).isEmpty)
   }
 
   test("restrictTo filters answers and truth") {
     val ds = tinyDs
-    val catOnly = ds.restrictTo(ds.categoricalCols, "cat")
+    val catOnly = restrictTo(ds, ds.categoricalCols, "cat")
     assert(catOnly.answers.count() == 3)
     assert(catOnly.truth.count() == 1)
     assert(catOnly.name == "tiny-cat")
-    val contOnly = ds.restrictTo(ds.continuousCols, "cont")
+    val contOnly = restrictTo(ds, ds.continuousCols, "cont")
     assert(contOnly.answers.count() == 5)
     assert(contOnly.truth.count() == 2)
+    // the answer-table restriction behind TC-onlyCate / TC-onlyCont
+    val t = Model.answerTable(ds)
+    assert(t.restrictTo(_.isCategorical).size == 3 && t.restrictTo(_.isCategorical).columns == ds.categoricalCols)
+    assert(t.restrictTo(_.isContinuous).size == 5 && t.restrictTo(_.isContinuous).columns == ds.continuousCols)
   }
 
   test("normalize and denormalize are inverse on continuous columns only") {

@@ -4,6 +4,8 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import repro.CrowdSpec
 import repro.crowd.{CrowdSim, SimColumn, SimConfig}
+import repro.experiments.Experiments
+import repro.metrics.Metrics
 import scala.util.Random
 
 /** The driver-side T-Crowd kernel against [[TCrowdSparkReference]], the
@@ -24,8 +26,8 @@ class TCrowdKernelSpec extends CrowdSpec {
 
   private val datasets: Seq[(String, () => CrowdDataset)] = Seq(
     "mixed columns" -> (() => mixed),
-    "only-categorical columns" -> (() => mixed.restrictTo(mixed.categoricalCols, "cat")),
-    "only-continuous columns" -> (() => mixed.restrictTo(mixed.continuousCols, "cont")),
+    "only-categorical columns" -> (() => restrictTo(mixed, mixed.categoricalCols, "cat")),
+    "only-continuous columns" -> (() => restrictTo(mixed, mixed.continuousCols, "cont")),
     "a single worker" -> (() => sim("one-worker", mixedCols, workers = 1, perTask = 1)),
     "single-answer cells" -> (() => sim("single", mixedCols, workers = 6, perTask = 1, seed = 9L)),
     "a constant continuous column" -> (() => mixed.copy(answers = mixed.answers.withColumn("value",
@@ -73,6 +75,15 @@ class TCrowdKernelSpec extends CrowdSpec {
     val ds = mixed.copy(answers = mixed.answers.union(Model.answersDf(spark, Seq(Answer(0, 1, 9, 1.0)))))
     val e = intercept[IllegalArgumentException](TCrowd.infer(ds, cfg))
     assert(e.getMessage.contains("cell (1, 9)"))
+    // a non-finite continuous answer, from a dataset or from driver-side answers (an online log)
+    for (v <- Seq(Double.NaN, Double.NegativeInfinity)) {
+      val bad = Answer(0, 1, 2, v)
+      val fromDs = intercept[IllegalArgumentException](TCrowd.infer(
+        mixed.copy(answers = mixed.answers.union(Model.answersDf(spark, Seq(bad)))), cfg))
+      assert(fromDs.getMessage.contains("cell (1, 2)"), fromDs.getMessage)
+      val fromLog = intercept[IllegalArgumentException](Model.answerTable(mixed.columns, Seq(bad)))
+      assert(fromLog.getMessage.contains("cell (1, 2)"), fromLog.getMessage)
+    }
   }
 
   test("TCrowd.infer and Correlation.estimate are bit-identical for any partitioning and answer order") {
@@ -83,7 +94,7 @@ class TCrowdKernelSpec extends CrowdSpec {
       ("shuffled" -> withAnswers(new Random(3).shuffle(answers), 4))
     val runs = variants.map { case (name, ds) =>
       val res = TCrowd.infer(ds, cfg)
-      (name, res, Correlation.estimate(ds, res))
+      (name, res, Correlation.estimate(Model.answerTable(ds), res))
     }
     val (_, res0, corr0) = runs.head
     runs.tail.foreach { case (name, res, corr) =>
@@ -98,13 +109,33 @@ class TCrowdKernelSpec extends CrowdSpec {
     }
   }
 
-  test("EM iterations issue no Spark job, and Correlation.estimate issues one") {
+  test("EM iterations and Correlation.estimate issue no Spark job") {
     val short = jobsOf(TCrowd.infer(mixed, TCrowdConfig(maxIters = 1, gdSteps = 1)))
     val long  = jobsOf(TCrowd.infer(mixed, TCrowdConfig(maxIters = 8, gdSteps = 4)))
     info(s"TCrowd.infer: $short jobs at 1x1 iterations, $long at 8x4")
     assert(short == long)
     assert(long == 1) // the collect of Model.answerTable
-    val res = TCrowd.infer(mixed, cfg)
-    assert(jobsOf(Correlation.estimate(mixed, res)) == 1)
+    val t = Model.answerTable(mixed)
+    val res = TCrowd.infer(t, cfg)
+    assert(jobsOf(Correlation.estimate(t, res)) == 0)
+  }
+
+  test("Spark runs only at ingest: one job per infer(ds), none on a collected table or in an online session") {
+    val t = Model.answerTable(mixed)
+    val truth = Metrics.truthOf(mixed)
+    val tc = TCrowdConfig(maxIters = 2, gdSteps = 2)
+    val methods = Experiments.heterogeneousMethods(tc) ++ Experiments.categoricalMethods(tc) ++
+      Experiments.continuousMethods(tc)
+    for (m <- methods) {
+      assert(jobsOf(m.infer(mixed)) == 1, m.name)
+      assert(jobsOf(m.infer(t)) == 0, m.name)
+    }
+    val res = TCrowd.infer(t, tc)
+    assert(jobsOf(Correlation.estimate(t, res)) == 0)
+    assert(jobsOf(Metrics.evaluate(t, truth, res.estimatesLocal)) == 0)
+    assert(jobsOf(Metrics.evaluate(mixed, res.estimatesLocal)) == 2) // the answers and the truth
+    val sim = new CrowdSim(Experiments.onlineConfig(rows = 12))
+    assert(jobsOf(Assignment.simulate(sim, spark, new StructGainStrategy,
+      SimRunConfig(maxAvgAnswers = 2.0, tcrowd = tc))) == 0)
   }
 }

@@ -35,15 +35,15 @@ class TCrowdSmokeSpec extends CrowdSpec {
   }
 
   test("error rate beats majority voting") {
-    val tc = Metrics.errorRate(ds, res.estimatesLocal)
-    val mv = Metrics.errorRate(ds, MajorityVote.infer(ds))
+    val tc = Metrics.evaluate(ds, res.estimatesLocal)._1
+    val mv = Metrics.evaluate(ds, MajorityVote.infer(ds))._1
     info(f"T-Crowd=$tc%.4f MV=$mv%.4f")
     assert(tc <= mv + 1e-9)
   }
 
   test("mnad beats median") {
-    val tc = Metrics.mnad(ds, res.estimatesLocal)
-    val med = Metrics.mnad(ds, MedianBaseline.infer(ds))
+    val tc = Metrics.evaluate(ds, res.estimatesLocal)._2
+    val med = Metrics.evaluate(ds, MedianBaseline.infer(ds))._2
     info(f"T-Crowd=$tc%.4f Median=$med%.4f")
     assert(tc < med)
   }

@@ -165,7 +165,7 @@ object TCrowdSparkReference {
     * [[Model.continuousStats]] and an `isCat` flag, and the stats.
     */
   private def normalized(ds: CrowdDataset): (DataFrame, Map[Int, (Double, Double)]) = {
-    val stats  = Model.continuousStats(ds.columns, Model.sortedAnswers(ds.answers.collect()))
+    val stats  = Model.continuousStats(ds.columns, ds.answers.collect().toSeq.map(Model.answer))
     val catSet = ds.labelCount.filter(_._2 > 0).keySet
     val normUdf = udf((c: Int, v: Double) => Model.normalize(stats, c, v))
     val df = ds.answers.select(

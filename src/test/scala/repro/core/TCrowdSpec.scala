@@ -116,10 +116,10 @@ class TCrowdSpec extends CrowdSpec {
     val full = res
     val cate = TCrowd.inferOnlyCategorical(ds, cfg)
     val cont = TCrowd.inferOnlyContinuous(ds, cfg)
-    val erFull = Metrics.errorRate(ds, full.estimatesLocal)
-    val erCate = Metrics.errorRate(ds, cate.estimatesLocal)
-    val mnFull = Metrics.mnad(ds, full.estimatesLocal)
-    val mnCont = Metrics.mnad(ds, cont.estimatesLocal)
+    val erFull = Metrics.evaluate(ds, full.estimatesLocal)._1
+    val erCate = Metrics.evaluate(ds, cate.estimatesLocal)._1
+    val mnFull = Metrics.evaluate(ds, full.estimatesLocal)._2
+    val mnCont = Metrics.evaluate(ds, cont.estimatesLocal)._2
     info(f"error full=$erFull%.4f onlyCate=$erCate%.4f; mnad full=$mnFull%.4f onlyCont=$mnCont%.4f")
     // unified quality transfers knowledge across datatypes (paper Table 7)
     assert(erFull <= erCate + 0.02)

@@ -3,7 +3,6 @@ package repro.metrics
 import repro.CrowdSpec
 import repro.Oracle
 import repro.core._
-import org.apache.spark.sql.functions._
 
 class MetricsSpec extends CrowdSpec {
 
@@ -27,35 +26,35 @@ class MetricsSpec extends CrowdSpec {
 
   test("errorRate: perfect estimates give 0") {
     val est = Seq(TruthCell(0, 0, 0.0), TruthCell(1, 0, 2.0))
-    assert(Metrics.errorRate(ds, est) == 0.0)
+    assert(Metrics.evaluate(ds, est)._1 == 0.0)
   }
 
   test("errorRate: one of two wrong gives 0.5") {
     val est = Seq(TruthCell(0, 0, 1.0), TruthCell(1, 0, 2.0))
-    assert(Metrics.errorRate(ds, est) == 0.5)
+    assert(Metrics.evaluate(ds, est)._1 == 0.5)
   }
 
   test("errorRate: all wrong gives 1.0") {
     val est = Seq(TruthCell(0, 0, 1.0), TruthCell(1, 0, 0.0))
-    assert(Metrics.errorRate(ds, est) == 1.0)
+    assert(Metrics.evaluate(ds, est)._1 == 1.0)
   }
 
   test("errorRate ignores continuous cells in the estimate set") {
     val est = Seq(TruthCell(0, 0, 0.0), TruthCell(1, 0, 2.0),
                   TruthCell(0, 1, 999.0), TruthCell(1, 2, -1.0))
-    assert(Metrics.errorRate(ds, est) == 0.0)
+    assert(Metrics.evaluate(ds, est)._1 == 0.0)
   }
 
   test("errorRate is NaN without categorical columns") {
     val d = ds
-    val contOnly = d.restrictTo(d.continuousCols, "cont")
-    assert(Metrics.errorRate(contOnly, Seq(TruthCell(0, 1, 1.0))).isNaN)
+    val contOnly = Model.answerTable(d).restrictTo(_.isContinuous)
+    assert(Metrics.evaluate(contOnly, Metrics.truthOf(d), Seq(TruthCell(0, 1, 1.0)))._1.isNaN)
   }
 
   test("mnad: exact estimates give 0") {
     val est = Seq(TruthCell(0, 1, 12.0), TruthCell(1, 1, 7.0),
                   TruthCell(0, 2, 110.0), TruthCell(1, 2, 92.0))
-    assert(Metrics.mnad(ds, est) == 0.0)
+    assert(Metrics.evaluate(ds, est)._2 == 0.0)
   }
 
   test("mnad matches hand computation (per-column RMSE / answer std, averaged)") {
@@ -69,13 +68,13 @@ class MetricsSpec extends CrowdSpec {
     val sd1 = math.sqrt(8.75)
     val sd2 = math.sqrt(129.6875)
     val expected = (1.0 / sd1 + 2.0 / sd2) / 2
-    assert(math.abs(Metrics.mnad(d, est) - expected) < 1e-9)
+    assert(math.abs(Metrics.evaluate(d, est)._2 - expected) < 1e-9)
   }
 
   test("mnad is NaN without continuous columns") {
     val d = ds
-    val catOnly = d.restrictTo(d.categoricalCols, "cat")
-    assert(Metrics.mnad(catOnly, Seq(TruthCell(0, 0, 0.0))).isNaN)
+    val catOnly = Model.answerTable(d).restrictTo(_.isCategorical)
+    assert(Metrics.evaluate(catOnly, Metrics.truthOf(d), Seq(TruthCell(0, 0, 0.0)))._2.isNaN)
   }
 
   test("evaluate returns both measures at once") {
@@ -87,38 +86,39 @@ class MetricsSpec extends CrowdSpec {
     assert(mn == 0.0)
   }
 
+  /** The one value DuckDB computes for `sql` over the truth, the estimates
+    * `est` and the answers of `d`.
+    */
+  private def duck(sql: String, d: CrowdDataset, est: Seq[TruthCell]): Double =
+    Oracle.query(sql, "truth" -> d.truth, "est" -> Model.truthDf(spark, est), "answers" -> d.answers)
+      .head.getAs[Number](0).doubleValue
+
   test("errorRate join agrees with DuckDB oracle") {
     val d = ds
-    val est = Model.truthDf(spark, Seq(TruthCell(0, 0, 1.0), TruthCell(1, 0, 2.0)))
-      .withColumnRenamed("value", "est")
-    val joined = d.truth.filter(col("col") === 0)
-      .join(est, Seq("row", "col"))
-      .select(col("row"), col("col"),
-        when(col("value") =!= col("est"), 1.0).otherwise(0.0).as("wrong"))
-    Oracle.assertEquivalent(
-      joined,
-      """SELECT t.row, t.col,
-        |       CASE WHEN CAST(t.value AS DOUBLE) <> CAST(e.est AS DOUBLE)
-        |            THEN 1.0 ELSE 0.0 END AS wrong
+    val est = Seq(TruthCell(0, 0, 1.0), TruthCell(1, 0, 2.0))
+    val er = duck(
+      """SELECT avg(CASE WHEN CAST(t.value AS DOUBLE) <> CAST(e.value AS DOUBLE)
+        |                THEN 1.0 ELSE 0.0 END) AS er
         |FROM truth t JOIN est e ON t.row = e.row AND t.col = e.col
-        |WHERE t.col = '0'""".stripMargin,
-      "truth" -> d.truth, "est" -> est)
+        |WHERE t.col = '0'""".stripMargin, d, est)
+    assert(er == 0.5)
+    assert(math.abs(Metrics.evaluate(d, est)._1 - er) < 1e-9)
   }
 
   test("per-column RMSE aggregation agrees with DuckDB oracle") {
     val d = ds
-    val est = Model.truthDf(spark, Seq(
+    val est = Seq(
       TruthCell(0, 1, 13.0), TruthCell(1, 1, 8.0),
-      TruthCell(0, 2, 112.0), TruthCell(1, 2, 90.0))).withColumnRenamed("value", "est")
-    val rmse = d.truth.filter(col("col").isin(1, 2))
-      .join(est, Seq("row", "col"))
-      .groupBy("col")
-      .agg(sqrt(avg(pow(col("value") - col("est"), 2))).as("rmse"))
-    Oracle.assertEquivalent(
-      rmse,
-      """SELECT t.col, sqrt(avg(pow(CAST(t.value AS DOUBLE) - CAST(e.est AS DOUBLE), 2))) AS rmse
-        |FROM truth t JOIN est e ON t.row = e.row AND t.col = e.col
-        |WHERE t.col IN ('1','2') GROUP BY t.col""".stripMargin,
-      "truth" -> d.truth, "est" -> est)
+      TruthCell(0, 2, 112.0), TruthCell(1, 2, 90.0))
+    val mnad = duck(
+      """WITH rmse AS (
+        |  SELECT t.col, sqrt(avg(pow(CAST(t.value AS DOUBLE) - CAST(e.value AS DOUBLE), 2))) AS rmse
+        |  FROM truth t JOIN est e ON t.row = e.row AND t.col = e.col
+        |  WHERE t.col IN ('1','2') GROUP BY t.col),
+        |sd AS (
+        |  SELECT col, stddev_pop(CAST(value AS DOUBLE)) AS sd FROM answers
+        |  WHERE col IN ('1','2') GROUP BY col)
+        |SELECT avg(rmse.rmse / sd.sd) AS mnad FROM rmse JOIN sd ON rmse.col = sd.col""".stripMargin, d, est)
+    assert(math.abs(Metrics.evaluate(d, est)._2 - mnad) < 1e-9)
   }
 }
