@@ -10,44 +10,97 @@ import scala.util.Random
 /** Driver-side snapshot of the inference state, supporting the paper's
   * accelerated assignment (§5.1): between full EM refreshes, a new answer
   * only updates the answered cell's posterior (Gaussian precision update /
-  * likelihood reweighting), keeping per-assignment cost constant.
+  * likelihood reweighting), so recording an answer costs O(labels) and a
+  * pick is one O(cells) scan of dense arrays ([[AssignState.bestOpenCell]]).
+  *
+  * The posteriors of the `numRows` x `columns` table sit in arrays indexed
+  * by `row * columns.size + position of the column in columns`, alpha in an
+  * array per row and beta per column position. A cell the result does not
+  * cover, and any cell on a row outside the table, has the uniform
+  * (categorical) or `N(0, PriorVar)` (continuous) posterior; a row or
+  * column without a difficulty has 1, a worker without a variance 1.
   */
-final class Snapshot(@volatile var res: TCrowdResult, val labelCount: Map[Int, Int]) {
-  val contPost: mutable.Map[(Int, Int), (Double, Double)] = mutable.Map.from(res.contPosterior)
-  val catPost: mutable.Map[(Int, Int), Array[Double]]     = mutable.Map.from(res.catPosterior)
+final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[ColumnSpec]) {
+  private val m = columns.size
+  private val labels = columns.map(_.numLabels).toArray
+  /** Position in `columns` of each column id; -1 for an id not in the schema. */
+  private val position: Array[Int] = {
+    val p = Array.fill(columns.map(_.col + 1).maxOption.getOrElse(0))(-1)
+    columns.zipWithIndex.foreach { case (c, k) => p(c.col) = k }
+    p
+  }
+  private val uniform = labels.map(l => Array.fill(l)(1.0 / l))
+  private val mu    = new Array[Double](numRows * m)
+  private val tphi  = new Array[Double](numRows * m)
+  private val cat   = new Array[Array[Double]](numRows * m)
+  private val alpha = new Array[Double](numRows)
+  private val beta  = new Array[Double](m)
+  private var current: TCrowdResult = _
+  refresh(initial)
+
+  def res: TCrowdResult = current
 
   def refresh(r: TCrowdResult): Unit = {
-    res = r
-    contPost.clear(); contPost ++= r.contPosterior
-    catPost.clear(); catPost ++= r.catPosterior
+    current = r
+    for (i <- 0 until numRows; p <- 0 until m) {
+      val k = i * m + p
+      mu(k) = 0.0; tphi(k) = Model.PriorVar; cat(k) = uniform(p)
+    }
+    for (((i, j), (mean, v)) <- r.contPosterior) { val k = index(i, j); if (k >= 0) { mu(k) = mean; tphi(k) = v } }
+    for (((i, j), probs) <- r.catPosterior) { val k = index(i, j); if (k >= 0) cat(k) = probs }
+    for (i <- 0 until numRows) alpha(i) = r.alpha.getOrElse(i, 1.0)
+    for (p <- 0 until m) beta(p) = r.beta.getOrElse(columns(p).col, 1.0)
   }
 
-  def contOf(i: Int, j: Int): (Double, Double) = contPost.getOrElse((i, j), (0.0, Model.PriorVar))
+  private def positionOf(j: Int): Int = if (j >= 0 && j < position.length) position(j) else -1
+
+  /** Dense index of cell (i, j); -1 if the row or the column is outside the table. */
+  private[core] def index(i: Int, j: Int): Int = {
+    val p = positionOf(j)
+    if (i < 0 || i >= numRows || p < 0) -1 else i * m + p
+  }
+
+  def isCategorical(j: Int): Boolean = { val p = positionOf(j); p >= 0 && labels(p) > 0 }
+
+  def contOf(i: Int, j: Int): (Double, Double) = {
+    val k = index(i, j)
+    if (k < 0) (0.0, Model.PriorVar) else (mu(k), tphi(k))
+  }
 
   def catOf(i: Int, j: Int): Array[Double] = {
-    val l = labelCount(j)
-    catPost.getOrElse((i, j), Array.fill(l)(1.0 / l))
+    val k = index(i, j)
+    if (k < 0) uniform(positionOf(j)) else cat(k)
+  }
+
+  /** Variance `phi_u` of worker u. */
+  def workerVariance(u: Int): Double = current.phi.getOrElse(u, 1.0)
+
+  /** Answer variance `alpha_i * beta_j * phi` on cell (i, j) of a worker with variance `phi`. */
+  def answerVariance(phi: Double, i: Int, j: Int): Double = {
+    val p = positionOf(j)
+    (if (i >= 0 && i < numRows) alpha(i) else 1.0) * (if (p >= 0) beta(p) else 1.0) * phi
   }
 
   /** Current point estimate of a cell (normalized space for continuous). */
   def estimateOf(i: Int, j: Int): Double =
-    if (labelCount.getOrElse(j, 0) > 0) argmax(catOf(i, j)).toDouble
+    if (isCategorical(j)) argmax(catOf(i, j)).toDouble
     else contOf(i, j)._1
 
   /** Normalize a raw continuous answer with the snapshot's column stats. */
-  def normalize(j: Int, v: Double): Double = Model.normalize(res.contStats, j, v)
+  def normalize(j: Int, v: Double): Double = Model.normalize(current.contStats, j, v)
 
   /** Local Bayesian update of cell (i,j)'s posterior with a new raw answer. */
   def applyAnswer(u: Int, i: Int, j: Int, raw: Double): Unit = {
-    val v = res.cellVariance(u, i, j)
-    if (labelCount.getOrElse(j, 0) > 0) {
-      catPost((i, j)) = InfoGain.answerPosterior(catOf(i, j), quality(TCrowd.Eps, v), raw.toInt)
+    val k = index(i, j)
+    require(k >= 0, s"cell ($i, $j) is outside the ${numRows}-row table")
+    val v = answerVariance(workerVariance(u), i, j)
+    if (isCategorical(j)) {
+      cat(k) = InfoGain.answerPosterior(cat(k), quality(TCrowd.Eps, v), raw.toInt)
     } else {
-      val (mu, tphi) = contOf(i, j)
       val w = 1.0 / math.max(v, 1e-9)
-      val nphi = 1.0 / (1.0 / tphi + w)
-      val nmu = (mu / tphi + w * normalize(j, raw)) * nphi
-      contPost((i, j)) = (nmu, nphi)
+      val nphi = 1.0 / (1.0 / tphi(k) + w)
+      mu(k) = (mu(k) / tphi(k) + w * normalize(j, raw)) * nphi
+      tphi(k) = nphi
     }
   }
 }
@@ -66,48 +119,94 @@ trait AssignStrategy {
   def observe(u: Int, i: Int, j: Int, value: Double): Unit = {}
 }
 
-/** Mutable state shared by the simulation loop and the strategies. */
+/** Mutable state shared by the simulation loop and the strategies. Each
+  * worker's answered cells are a boolean array in the snapshot's cell
+  * layout, so the open cells are one scan in row-then-`columns` order.
+  */
 final class AssignState(
     val numRows: Int,
     val columns: Seq[ColumnSpec],
     val snapshot: Snapshot,
 ) {
+  require(snapshot.numRows == numRows && snapshot.columns == columns,
+    "the snapshot must cover the state's table")
+  private val colIds = columns.map(_.col).toArray
   var corr: Option[CorrelationModel] = None
-  val answeredBy: mutable.Map[Int, mutable.Set[(Int, Int)]] = mutable.Map.empty
+  private val answered = mutable.Map.empty[Int, Array[Boolean]]
   /** (worker,row) -> answered (col, rawValue) pairs, for §5.2 row context. */
   val rowAnswers: mutable.Map[(Int, Int), mutable.Buffer[(Int, Double)]] = mutable.Map.empty
   val log: mutable.Buffer[Answer] = mutable.Buffer.empty
 
   def record(a: Answer): Unit = {
+    val k = snapshot.index(a.row, a.col)
+    require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${numRows}-row table")
     log += a
-    answeredBy.getOrElseUpdate(a.worker, mutable.Set.empty) += ((a.row, a.col))
+    answered.getOrElseUpdate(a.worker, new Array[Boolean](numRows * columns.size))(k) = true
     rowAnswers.getOrElseUpdate((a.worker, a.row), mutable.Buffer.empty) += ((a.col, a.value))
   }
 
-  def isAnswered(u: Int, i: Int, j: Int): Boolean =
-    answeredBy.get(u).exists(_.contains((i, j)))
+  def isAnswered(u: Int, i: Int, j: Int): Boolean = {
+    val k = snapshot.index(i, j)
+    k >= 0 && answered.get(u).exists(_(k))
+  }
 
-  def availableCells(u: Int): Iterator[(Int, Int)] = {
-    val done = answeredBy.getOrElse(u, mutable.Set.empty)
-    for {
-      i <- (0 until numRows).iterator
-      c <- columns.iterator
-      if !done.contains((i, c.col))
-    } yield (i, c.col)
+  /** Calls `visit(i, j)` for each cell worker u has not answered, row by
+    * row and within a row in `columns` order.
+    */
+  private def foreachOpenCell(u: Int)(visit: (Int, Int) => Unit): Unit = {
+    val done = answered.getOrElse(u, null)
+    val m = colIds.length
+    var i = 0
+    while (i < numRows) {
+      var p = 0
+      while (p < m) {
+        if (done == null || !done(i * m + p)) visit(i, colIds(p))
+        p += 1
+      }
+      i += 1
+    }
+  }
+
+  /** The cells worker u has not answered, in row-then-`columns` order. */
+  def availableCells(u: Int): IndexedSeq[(Int, Int)] = {
+    val open = IndexedSeq.newBuilder[(Int, Int)]
+    foreachOpenCell(u)((i, j) => open += ((i, j)))
+    open.result()
+  }
+
+  /** The open cell of worker u with the greatest score, scanning as
+    * [[availableCells]] orders them. `rowScore(i)` is called once per row
+    * that has an open cell and gives the score of each column j of row i.
+    * A cell replaces the best so far only if its score is greater under
+    * `java.lang.Double.compare` (the total order `maxBy` uses for doubles),
+    * so ties go to the first cell.
+    */
+  def bestOpenCell(u: Int)(rowScore: Int => Int => Double): Option[(Int, Int)] = {
+    var bestRow, bestCol = -1
+    var bestScore = 0.0
+    var row = -1
+    var score: Int => Double = null
+    foreachOpenCell(u) { (i, j) =>
+      if (i != row) { row = i; score = rowScore(i) }
+      val s = score(j)
+      if (bestRow < 0 || java.lang.Double.compare(s, bestScore) > 0) { bestRow = i; bestCol = j; bestScore = s }
+    }
+    if (bestRow < 0) None else Some((bestRow, bestCol))
   }
 
   /** Worker u's observed errors on row i vs the current snapshot estimates
-    * (0/1 for categorical, normalized signed difference for continuous).
+    * (0/1 for categorical, normalized signed difference for continuous), in
+    * the order u answered them.
     */
   def workerErrorsOnRow(u: Int, i: Int): Seq[(Int, Double)] =
-    rowAnswers.getOrElse((u, i), mutable.Buffer.empty).toSeq.map { case (j, raw) =>
-      if (snapshot.labelCount.getOrElse(j, 0) > 0) {
+    rowAnswers.get((u, i)).fold(Seq.empty[(Int, Double)])(_.toSeq.map { case (j, raw) =>
+      if (snapshot.isCategorical(j)) {
         val est = snapshot.estimateOf(i, j)
         j -> (if (est.toInt == raw.toInt) 0.0 else 1.0)
       } else {
         j -> (snapshot.normalize(j, raw) - snapshot.contOf(i, j)._1)
       }
-    }
+    })
 }
 
 /** Uniform-random assignment (the CRH/CATD/CrowdDB setting in the paper). */
@@ -115,7 +214,7 @@ final class RandomStrategy(seed: Long = 1L) extends AssignStrategy {
   val name = "Random"
   private val rng = new Random(seed)
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val avail = st.availableCells(u).toIndexedSeq
+    val avail = st.availableCells(u)
     if (avail.isEmpty) None else Some(avail(rng.nextInt(avail.size)))
   }
 }
@@ -146,11 +245,7 @@ final class EntropyStrategy extends AssignStrategy {
   override val needsSnapshot = true
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
     val snap = st.snapshot
-    val avail = st.availableCells(u)
-    if (avail.isEmpty) return None
-    Some(avail.maxBy { case (i, j) =>
-      InfoGain.uniformEntropy(snap.labelCount.getOrElse(j, 0) > 0, snap.catOf(i, j), snap.contOf(i, j)._2)
-    })
+    st.bestOpenCell(u)(i => j => InfoGain.uniformEntropy(snap.isCategorical(j), snap.catOf(i, j), snap.contOf(i, j)._2))
   }
 }
 
@@ -160,9 +255,8 @@ final class InherentGainStrategy extends AssignStrategy {
   override val needsSnapshot = true
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
     val snap = st.snapshot
-    val avail = st.availableCells(u)
-    if (avail.isEmpty) return None
-    Some(avail.maxBy { case (i, j) => Assignment.inherentGain(snap, u, i, j) })
+    val phi = snap.workerVariance(u)
+    st.bestOpenCell(u)(i => j => Assignment.inherentGain(snap, phi, i, j))
   }
 }
 
@@ -175,9 +269,11 @@ final class StructGainStrategy extends AssignStrategy {
   override val needsSnapshot = true
   override val needsCorrelation = true
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val avail = st.availableCells(u)
-    if (avail.isEmpty) return None
-    Some(avail.maxBy { case (i, j) => Assignment.structureAwareGain(st, u, i, j) })
+    val phi = st.snapshot.workerVariance(u)
+    st.bestOpenCell(u) { i =>
+      val obs = if (st.corr.isEmpty) Nil else st.workerErrorsOnRow(u, i)
+      j => Assignment.structureAwareGain(st, phi, obs, i, j)
+    }
   }
 }
 
@@ -221,7 +317,7 @@ final class CdasStrategy(catCols: Set[Int], seed: Long = 2L, minAnswers: Int = 3
     }
 
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val avail = st.availableCells(u).toIndexedSeq
+    val avail = st.availableCells(u)
     if (avail.isEmpty) return None
     val open = avail.filterNot { case (i, j) => terminated(st, i, j) }
     val pool = if (open.nonEmpty) open else avail
@@ -270,11 +366,8 @@ final class AskItStrategy(catCols: Set[Int]) extends AssignStrategy {
       }
     }
 
-  def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val avail = st.availableCells(u)
-    if (avail.isEmpty) return None
-    Some(avail.maxBy { case (i, j) => uncertainty(i, j) })
-  }
+  def pick(st: AssignState, u: Int): Option[(Int, Int)] =
+    st.bestOpenCell(u)(i => j => uncertainty(i, j))
 }
 
 /** One measured point of an online run. */
@@ -302,26 +395,30 @@ object Assignment {
     * unknown workers unit variance.
     */
   def inherentGain(snap: Snapshot, u: Int, i: Int, j: Int): Double =
-    if (snap.labelCount.getOrElse(j, 0) > 0)
-      InfoGain.categoricalGain(snap.catOf(i, j), snap.res.cellQuality(u, i, j))
-    else
-      InfoGain.continuousGain(snap.contOf(i, j)._2, snap.res.cellVariance(u, i, j))
+    inherentGain(snap, snap.workerVariance(u), i, j)
+
+  /** [[inherentGain]] of a worker with variance `phi`. */
+  private[core] def inherentGain(snap: Snapshot, phi: Double, i: Int, j: Int): Double = {
+    val v = snap.answerVariance(phi, i, j)
+    if (snap.isCategorical(j)) InfoGain.categoricalGain(snap.catOf(i, j), quality(TCrowd.Eps, v))
+    else InfoGain.continuousGain(snap.contOf(i, j)._2, v)
+  }
 
   /** §5.2: like inherentGain but with the worker's answer variance replaced
     * by the error distribution predicted from their same-row answers.
     */
-  def structureAwareGain(st: AssignState, u: Int, i: Int, j: Int): Double = {
+  def structureAwareGain(st: AssignState, u: Int, i: Int, j: Int): Double =
+    structureAwareGain(st, st.snapshot.workerVariance(u), st.workerErrorsOnRow(u, i), i, j)
+
+  /** [[structureAwareGain]] of a worker with variance `phi` and errors `obs` on row i. */
+  private[core] def structureAwareGain(st: AssignState, phi: Double, obs: Seq[(Int, Double)],
+                                       i: Int, j: Int): Double = {
     val snap = st.snapshot
-    val predicted = for {
-      model <- st.corr
-      obs = st.workerErrorsOnRow(u, i)
-      if obs.nonEmpty
-      d <- model.predict(j, obs)
-    } yield d
+    val predicted = if (obs.isEmpty) None else st.corr.flatMap(_.predict(j, obs))
     predicted match {
-      case None => inherentGain(snap, u, i, j)
+      case None => inherentGain(snap, phi, i, j)
       case Some(d) =>
-        if (snap.labelCount.getOrElse(j, 0) > 0)
+        if (snap.isCategorical(j))
           InfoGain.categoricalGain(snap.catOf(i, j), clampProb(1.0 - d.mean))
         else
           // effective answer variance = second moment of the predicted error
@@ -360,12 +457,11 @@ object Assignment {
   def simulate(sim: CrowdSim, spark: SparkSession, strategy: AssignStrategy,
                cfg: SimRunConfig = SimRunConfig()): Seq[SimPoint] = {
     val columns = sim.columnSpecs
-    val labelCount = columns.map(c => c.col -> c.numLabels).toMap
     val truth = sim.allTruth
     val nCells = sim.cfg.numRows * columns.size
 
     val st = new AssignState(sim.cfg.numRows, columns,
-      new Snapshot(emptyResult, labelCount))
+      new Snapshot(emptyResult, sim.cfg.numRows, columns))
 
     // Seed: one answer per cell from the row's first assigned worker.
     for (i <- 0 until sim.cfg.numRows; c <- columns) {

@@ -41,10 +41,30 @@ object InfoGain {
     while (z < l) {
       // predictive probability of answer z
       val pa = probs(z) * qc + (1.0 - probs(z)) * wrong
-      if (pa > 1e-15) expected += pa * shannonEntropy(answerPosterior(probs, qc, z))
+      if (pa > 1e-15) expected += pa * posteriorEntropy(probs, qc, wrong, z)
       z += 1
     }
     h0 - expected
+  }
+
+  /** `shannonEntropy(answerPosterior(probs, q, a))` without building the
+    * posterior: the same products, normaliser, quotients and entropy terms,
+    * in the same order, so the result is the same to the bit.
+    * `wrong = (1 - q) / (L - 1)`.
+    */
+  private def posteriorEntropy(probs: Array[Double], q: Double, wrong: Double, a: Int): Double = {
+    val l = probs.length
+    var norm = 0.0
+    var t = 0
+    while (t < l) { norm += probs(t) * (if (t == a) q else wrong); t += 1 }
+    var s = 0.0
+    t = 0
+    while (t < l) {
+      val p = probs(t) * (if (t == a) q else wrong) / norm
+      if (p > 0) s += p * math.log(p)
+      t += 1
+    }
+    -s
   }
 
   /** Truth posterior of a categorical cell after one answer `a` from a worker

@@ -33,6 +33,20 @@ object MathUtil {
   def shannonEntropy(probs: Iterable[Double]): Double =
     -probs.filter(_ > 0).map(p => p * math.log(p)).sum
 
+  /** [[shannonEntropy]] of an array without boxing: the same terms summed in
+    * the same order, so the result is the same to the bit.
+    */
+  def shannonEntropy(probs: Array[Double]): Double = {
+    var s = 0.0
+    var t = 0
+    while (t < probs.length) {
+      val p = probs(t)
+      if (p > 0) s += p * math.log(p)
+      t += 1
+    }
+    -s
+  }
+
   /** Differential entropy (nats) of N(mu, variance): 0.5 * ln(2*pi*e*var). */
   def differentialEntropy(variance: Double): Double =
     0.5 * math.log(2.0 * math.Pi * math.E * math.max(variance, 1e-300))

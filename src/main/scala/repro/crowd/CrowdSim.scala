@@ -183,11 +183,15 @@ object CrowdSim {
 
   /** Noise injection of §6.5.2: alter a fraction `gamma` of answers — random
     * label for categorical, +N(0,1) in z-score space for continuous —
-    * implemented as a DataFrame transform so it composes with any dataset.
+    * implemented as a lazy DataFrame transform (no Spark job) so it composes
+    * with any dataset.
+    *
+    * @param stats per-column (mean, std) of `ds`'s continuous answers
+    *              ([[AnswerTable.stats]]); the std scales the noise
     */
-  def addNoise(ds: CrowdDataset, gamma: Double, seed: Long): CrowdDataset = {
+  def addNoise(ds: CrowdDataset, stats: Map[Int, (Double, Double)], gamma: Double,
+               seed: Long): CrowdDataset = {
     val labelCount = ds.labelCount
-    val stats = Model.answerTable(ds).stats
     val noisyUdf = udf { (c: Int, v: Double, r1: Double, r2: Double) =>
       val l = labelCount.getOrElse(c, 0)
       if (l > 0) math.floor(r1 * l).min(l - 1).toDouble

@@ -123,7 +123,7 @@ object Experiments {
       tcrowd = TCrowdConfig(maxIters = 6, gdSteps = 3))
     val traces = heuristicStrategies.map { s =>
       Console.err.println(s"[fig5] running ${s.name}")
-      s.name -> Assignment.simulate(new CrowdSim(simCfg), spark, s, runCfg)
+      s.name -> session("fig5", s.name, simCfg)(Assignment.simulate(new CrowdSim(simCfg), spark, s, runCfg))
     }.toMap
     (traces, renderTraces("Figure 5 (as table): assignment heuristics on Restaurant surrogate",
       traces))
@@ -149,11 +149,25 @@ object Experiments {
     )
     val traces = systems.map { case (name, strat, inf) =>
       Console.err.println(s"[fig2] running $name")
-      name -> Assignment.simulate(new CrowdSim(simCfg), spark, strat,
+      name -> session("fig2", name, simCfg)(Assignment.simulate(new CrowdSim(simCfg), spark, strat,
         SimRunConfig(maxAvgAnswers = maxAvg, checkpointEvery = 0.5,
-          tcrowd = tcrowdCfg, inference = inf))
+          tcrowd = tcrowdCfg, inference = inf)))
     }.toMap
     (traces, renderTraces("Figure 2 (as table): end-to-end system comparison", traces))
+  }
+
+  /** Runs one online session on `cfg`'s table and reports on stderr its
+    * picks (the answers after the seeding round, one per cell), its
+    * checkpoints and its wall time.
+    */
+  private def session(tag: String, name: String, cfg: SimConfig)(run: => Seq[SimPoint]): Seq[SimPoint] = {
+    val t0 = System.nanoTime()
+    val points = run
+    val secs = (System.nanoTime() - t0) / 1e9
+    val nCells = cfg.numRows * cfg.columns.size
+    val picks = points.lastOption.fold(0L)(p => math.round((p.avgAnswersPerTask - 1.0) * nCells))
+    Console.err.println(f"[$tag] $name%-12s $picks%4d picks, ${points.size}%2d checkpoints, $secs%.2f s")
+    points
   }
 
   def renderTraces(title: String, traces: Map[String, Seq[SimPoint]]): String = {
@@ -212,8 +226,9 @@ object Experiments {
             tcrowdCfg: TCrowdConfig = benchCfg): (Seq[(Double, Seq[Score])], String) = {
     val base = Surrogates.celebrity(spark)
     val truth = Metrics.truthOf(base)
+    val stats = Model.answerTable(base).stats
     val rows = gammas.map { g =>
-      val noisy = CrowdSim.addNoise(base, g, seed = 101L)
+      val noisy = CrowdSim.addNoise(base, stats, g, seed = 101L)
       val t = Model.answerTable(noisy)
       val methods: Seq[InferenceMethod] = Seq(TCrowdMethod(tcrowdCfg), Crh(), Gtm())
       g -> methods.map { m =>

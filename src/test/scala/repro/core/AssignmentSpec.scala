@@ -6,7 +6,6 @@ import repro.crowd.{CrowdSim, SimColumn, SimConfig}
 class AssignmentSpec extends CrowdSpec {
 
   private val columns = Seq(ColumnSpec(0, "c", 3), ColumnSpec(1, "x", 0))
-  private val labelCount = Map(0 -> 3, 1 -> 0)
 
   private def mkResult(certainCat: Boolean = false): TCrowdResult = TCrowdResult(
     estimatesLocal = Seq.empty,
@@ -22,7 +21,7 @@ class AssignmentSpec extends CrowdSpec {
     iterations = 1, converged = true)
 
   private def mkState(res: TCrowdResult = mkResult()): AssignState =
-    new AssignState(2, columns, new Snapshot(res, labelCount))
+    new AssignState(2, columns, new Snapshot(res, 2, columns))
 
   // ----------------------------------------------------------------- Snapshot
 

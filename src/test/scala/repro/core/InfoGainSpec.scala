@@ -120,7 +120,8 @@ class InfoGainSpec extends AnyFunSuite {
     alpha = Map(0 -> 1.0),
     beta = Map(0 -> 1.0, 1 -> 1.0),
     contStats = Map(1 -> (0.0, 1.0)),
-    iterations = 1, converged = true), labelCount = Map(0 -> 2, 1 -> 0))
+    iterations = 1, converged = true), numRows = 1,
+    columns = Seq(ColumnSpec(0, "c", 2), ColumnSpec(1, "x", 0)))
 
   private def g(u: Int, i: Int, j: Int): Double = Assignment.inherentGain(fakeSnapshot, u, i, j)
 

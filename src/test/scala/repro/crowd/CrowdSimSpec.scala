@@ -114,13 +114,13 @@ class CrowdSimSpec extends CrowdSpec {
 
   test("addNoise with gamma=0 leaves answers unchanged") {
     val ds = sim.dataset(spark)
-    val noisy = CrowdSim.addNoise(ds, 0.0, seed = 5L)
+    val noisy = CrowdSim.addNoise(ds, Model.answerTable(ds).stats, 0.0, seed = 5L)
     assert(noisy.answers.except(ds.answers).count() == 0)
   }
 
   test("addNoise with gamma=1 perturbs most answers but keeps domains") {
     val ds = sim.dataset(spark)
-    val noisy = CrowdSim.addNoise(ds, 1.0, seed = 5L)
+    val noisy = CrowdSim.addNoise(ds, Model.answerTable(ds).stats, 1.0, seed = 5L)
     assert(noisy.answers.count() == ds.answers.count())
     // categorical answers remain valid labels
     val badCat = noisy.answers
@@ -135,9 +135,15 @@ class CrowdSimSpec extends CrowdSpec {
 
   test("addNoise keeps the answer count per cell") {
     val ds = sim.dataset(spark)
-    val noisy = CrowdSim.addNoise(ds, 0.3, seed = 6L)
+    val noisy = CrowdSim.addNoise(ds, Model.answerTable(ds).stats, 0.3, seed = 6L)
     val a = noisy.answers.groupBy("row", "col").count()
     assert(a.filter(col("count") =!= cfg.answersPerTask).count() == 0)
+  }
+
+  test("addNoise is a lazy transform: it issues no Spark job") {
+    val ds = sim.dataset(spark)
+    val stats = Model.answerTable(ds).stats
+    assert(jobsOf(CrowdSim.addNoise(ds, stats, 0.3, seed = 6L)) == 0)
   }
 
   test("config validation rejects too few workers") {
