@@ -4,8 +4,8 @@ import repro.core.MathUtil.softmax
 
 /** The answer relation of one dataset, encoded for the driver-side loops of
   * every inference method, the §5.2 correlation estimate and the metrics
-  * (DESIGN.md §6). Built by [[Model.answerTable]]: from a batch dataset with
-  * one Spark job, from an online session's answer log with none.
+  * (DESIGN.md §6). Built by [[Model.answerTable]]: once per batch dataset
+  * ([[CrowdDataset.table]], one Spark job), from an online session's log with none.
   *
   * The answers are sorted by `(row, col, worker, value)`, so every sum over
   * them runs in one order whatever the partitioning of the relation.
@@ -18,7 +18,8 @@ import repro.core.MathUtil.softmax
   * @param answers raw answers, sorted as above
   * @throws IllegalArgumentException naming the cell, for an answer on a
   *         column outside the schema, a categorical answer that is not a
-  *         [[Model.label]] or a continuous answer that is not finite
+  *         [[Model.label]], a continuous answer that is not finite, or a
+  *         second answer of one worker on one cell
   */
 final class AnswerTable private[core] (val columns: Seq[ColumnSpec], val answers: Array[Answer]) {
   /** Label count of each schema column; 0 if continuous. */
@@ -29,6 +30,10 @@ final class AnswerTable private[core] (val columns: Seq[ColumnSpec], val answers
     if (labelsOf(a.col) == 0 && !java.lang.Double.isFinite(a.value))
       throw new IllegalArgumentException(s"answer ${a.value} on cell (${a.row}, ${a.col}) is not a finite number")
   }
+  // sorted, so two answers of one worker on one cell are adjacent
+  for (k <- 1 until answers.length; a = answers(k); p = answers(k - 1)
+       if a.row == p.row && a.col == p.col && a.worker == p.worker)
+    throw new IllegalArgumentException(s"worker ${a.worker} answered cell (${a.row}, ${a.col}) twice")
 
   /** Per-column (mean, std) of the continuous answers ([[Model.continuousStats]]). */
   val stats: Map[Int, (Double, Double)] = Model.continuousStats(columns, answers)

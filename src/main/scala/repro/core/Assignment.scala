@@ -277,49 +277,67 @@ final class StructGainStrategy extends AssignStrategy {
   }
 }
 
+/** Base of CDAS and AskIt, which score a cell by the answers they observed
+  * on it, tallied in arrays in the [[Snapshot]]'s cell layout. `observe` has
+  * no session state to size them by: it queues the answer, and each pick
+  * first tallies the queue, in the order observed.
+  */
+sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
+  private val queued = mutable.ArrayBuffer.empty[Answer]
+  // per cell: in catCols?, votes per label, answers, sum, sum of squares, rescore; the sums per column
+  protected var categorical: Array[Boolean] = _
+  protected var votes: Array[Array[Int]] = _
+  protected var count, sum, sumSq, score, colCount, colSum, colSumSq: Array[Double] = _
+
+  override def observe(u: Int, i: Int, j: Int, value: Double): Unit = queued += Answer(u, i, j, value)
+
+  /** The strategy's score of cell k, from the cell's tallies. */
+  protected def rescore(k: Int): Double
+
+  protected def tally(st: AssignState): Unit = {
+    val (m, n) = (st.columns.size, st.numRows * st.columns.size)
+    if (count == null) {
+      categorical = Array.tabulate(n)(k => catCols.contains(st.columns(k % m).col))
+      votes = Array.tabulate(n)(k => new Array[Int](st.columns(k % m).numLabels))
+      count = new Array(n); sum = new Array(n); sumSq = new Array(n); score = new Array(n)
+      colCount = new Array(m); colSum = new Array(m); colSumSq = new Array(m)
+    }
+    for (a <- queued; k = st.snapshot.index(a.row, a.col); v = a.value) {
+      count(k) += 1
+      if (categorical(k)) votes(k)(Model.label(a.row, a.col, v, votes(k).length)) += 1
+      else { sum(k) += v; sumSq(k) += v * v; colCount(k % m) += 1; colSum(k % m) += v; colSumSq(k % m) += v * v }
+      score(k) = rescore(k)
+    }
+    queued.clear()
+  }
+}
+
 /** CDAS [20]: tasks whose current estimate is confident are terminated; the
   * next task is random among non-terminated ones. Confidence is the leading
   * vote share (categorical) / the standard error (continuous, in raw units
-  * relative to the cell's answer spread).
+  * relative to the cell's answer spread). A terminated cell scores 1.
   */
 final class CdasStrategy(catCols: Set[Int], seed: Long = 2L, minAnswers: Int = 3,
                          voteShare: Double = 0.8, semRatio: Double = 0.25)
-    extends AssignStrategy {
+    extends TallyStrategy(catCols) {
   val name = "CDAS"
   private val rng = new Random(seed)
-  private val votes = mutable.Map.empty[(Int, Int), mutable.Map[Int, Int]]
-  private val moments = mutable.Map.empty[(Int, Int), (Long, Double, Double)] // n, sum, sumSq
 
-  override def observe(u: Int, i: Int, j: Int, value: Double): Unit =
-    if (catCols.contains(j)) {
-      val m = votes.getOrElseUpdate((i, j), mutable.Map.empty)
-      m(value.toInt) = m.getOrElse(value.toInt, 0) + 1
-    } else {
-      val (n, s, s2) = moments.getOrElse((i, j), (0L, 0.0, 0.0))
-      moments((i, j)) = (n + 1, s + value, s2 + value * value)
-    }
-
-  private def terminated(st: AssignState, i: Int, j: Int): Boolean =
-    if (catCols.contains(j)) {
-      votes.get((i, j)).exists { m =>
-        val n = m.values.sum
-        n >= minAnswers && m.values.max.toDouble / n >= voteShare
-      }
-    } else {
-      moments.get((i, j)).exists { case (n, s, s2) =>
-        if (n < minAnswers) false
-        else {
-          val mean = s / n
-          val v = math.max(s2 / n - mean * mean, 0.0)
-          math.sqrt(v / n) <= semRatio * math.max(math.sqrt(v), 1e-9)
-        }
-      }
-    }
+  protected def rescore(k: Int): Double = {
+    val n = count(k)
+    val mean = sum(k) / n
+    val v = math.max(sumSq(k) / n - mean * mean, 0.0)
+    val terminated = n >= minAnswers && (
+      if (categorical(k)) votes(k).max / n >= voteShare
+      else math.sqrt(v / n) <= semRatio * math.max(math.sqrt(v), 1e-9))
+    if (terminated) 1.0 else 0.0
+  }
 
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
+    tally(st)
     val avail = st.availableCells(u)
     if (avail.isEmpty) return None
-    val open = avail.filterNot { case (i, j) => terminated(st, i, j) }
+    val open = avail.filter { case (i, j) => score(st.snapshot.index(i, j)) == 0.0 }
     val pool = if (open.nonEmpty) open else avail
     Some(pool(rng.nextInt(pool.size)))
   }
@@ -328,46 +346,30 @@ final class CdasStrategy(catCols: Set[Int], seed: Long = 2L, minAnswers: Int = 3
 /** AskIt! [5]: next task = highest uncertainty, measured on the raw answer
   * distribution (vote entropy / differential entropy of the sample-mean
   * distribution). Datatype-blind and worker-blind, hence the continuous-first
-  * bias the paper describes.
+  * bias the paper describes. A categorical cell scores its vote entropy.
   */
-final class AskItStrategy(catCols: Set[Int]) extends AssignStrategy {
+final class AskItStrategy(catCols: Set[Int]) extends TallyStrategy(catCols) {
   val name = "AskIt"
-  private val votes = mutable.Map.empty[(Int, Int), mutable.Map[Int, Int]]
-  private val cellN = mutable.Map.empty[(Int, Int), Long]
-  private val colMoments = mutable.Map.empty[Int, (Long, Double, Double)]
 
-  override def observe(u: Int, i: Int, j: Int, value: Double): Unit =
-    if (catCols.contains(j)) {
-      val m = votes.getOrElseUpdate((i, j), mutable.Map.empty)
-      m(value.toInt) = m.getOrElse(value.toInt, 0) + 1
-    } else {
-      cellN((i, j)) = cellN.getOrElse((i, j), 0L) + 1
-      val (n, s, s2) = colMoments.getOrElse(j, (0L, 0.0, 0.0))
-      colMoments(j) = (n + 1, s + value, s2 + value * value)
-    }
+  protected def rescore(k: Int): Double =
+    if (categorical(k)) shannonEntropy(votes(k).map(_ / count(k))) else 0.0
 
-  private def uncertainty(i: Int, j: Int): Double =
-    if (catCols.contains(j)) {
-      votes.get((i, j)).map { m =>
-        val n = m.values.sum.toDouble
-        shannonEntropy(m.values.map(_ / n))
-      }.getOrElse(10.0) // unanswered categorical: maximal urgency
-    } else {
+  private def uncertainty(k: Int): Double =
+    if (count(k) == 0) { if (categorical(k)) 10.0 else Double.MaxValue } // unanswered: maximal urgency
+    else if (categorical(k)) score(k)
+    else {
       // variance of the cell's sample mean, with the column-level answer
       // spread as the per-answer variance (a single cell's sample variance
       // degenerates at n=1); raw units, hence the continuous-first bias.
-      val n = cellN.getOrElse((i, j), 0L)
-      if (n == 0) Double.MaxValue
-      else {
-        val v = colMoments.get(j).map { case (cn, s, s2) =>
-          math.max(s2 / cn - (s / cn) * (s / cn), 1e-6)
-        }.getOrElse(1e-6)
-        differentialEntropy(v / n)
-      }
+      val p = k % colCount.length
+      val (cn, s, s2) = (colCount(p), colSum(p), colSumSq(p))
+      differentialEntropy(math.max(s2 / cn - (s / cn) * (s / cn), 1e-6) / count(k))
     }
 
-  def pick(st: AssignState, u: Int): Option[(Int, Int)] =
-    st.bestOpenCell(u)(i => j => uncertainty(i, j))
+  def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
+    tally(st)
+    st.bestOpenCell(u)(i => j => uncertainty(st.snapshot.index(i, j)))
+  }
 }
 
 /** One measured point of an online run. */

@@ -7,8 +7,8 @@ package repro.core
 trait InferenceMethod {
   def name: String
   def infer(t: AnswerTable): Seq[TruthCell]
-  /** [[infer]] on the collected answer relation of `ds` (one Spark job). */
-  final def infer(ds: CrowdDataset): Seq[TruthCell] = infer(Model.answerTable(ds))
+  /** [[infer]] on [[CrowdDataset.table]]: one Spark job on the dataset's first read, none after. */
+  final def infer(ds: CrowdDataset): Seq[TruthCell] = infer(ds.table)
 }
 
 /** T-Crowd as an [[InferenceMethod]] (full / only-categorical / only-continuous). */

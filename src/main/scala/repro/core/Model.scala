@@ -30,6 +30,8 @@ final case class ColumnSpec(col: Int, name: String, numLabels: Int) {
 /** A crowdsourcing instance: the answer relation, the column schema, and
   * (when known — always, for synthetic data) the ground truth used only by
   * the evaluation metrics, never by inference.
+  *
+  * [[table]] and [[truthCells]] are collected once, on first use; a `copy` starts afresh.
   */
 final case class CrowdDataset(
     name: String,
@@ -40,6 +42,11 @@ final case class CrowdDataset(
   def categoricalCols: Seq[ColumnSpec] = columns.filter(_.isCategorical)
   def continuousCols: Seq[ColumnSpec]  = columns.filter(_.isContinuous)
   def labelCount: Map[Int, Int]        = columns.map(c => c.col -> c.numLabels).toMap
+
+  /** The validated answer table every inference method reads ([[Model.collectTable]]). */
+  lazy val table: AnswerTable = Model.collectTable(this)
+  /** The ground truth, read only by the metrics ([[repro.metrics.Metrics.collectTruth]]). */
+  lazy val truthCells: Seq[TruthCell] = repro.metrics.Metrics.collectTruth(truth)
 }
 
 object Model {
@@ -108,11 +115,12 @@ object Model {
     }
 
   /** The data boundary of every inference method: collects the answer
-    * relation of `ds` (one Spark job) into an [[AnswerTable]].
+    * relation of `ds` (one Spark job) into [[CrowdDataset.table]], from
+    * here so that the perfbench job trace attributes it to this object.
     *
     * @throws IllegalArgumentException as [[AnswerTable]] does
     */
-  def answerTable(ds: CrowdDataset): AnswerTable =
+  private[core] def collectTable(ds: CrowdDataset): AnswerTable =
     answerTable(ds.columns, ds.answers.collect().map(answer))
 
   /** The [[AnswerTable]] of driver-side `answers` under the schema

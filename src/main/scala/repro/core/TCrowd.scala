@@ -14,11 +14,9 @@ final case class TCrowdConfig(
     gdSteps: Int = 5,
 )
 
-/** Output of T-Crowd inference.
-  *
-  * Posteriors are kept as driver-side snapshots (the paper's tables are a
-  * few thousand cells) because the assignment module (paper §5) needs
-  * constant-time per-cell lookups when scoring candidate tasks.
+/** Output of T-Crowd inference, keyed by the dataset's own row, column and
+  * worker ids. The assignment module (paper §5) copies it into the dense
+  * arrays of its [[Snapshot]] at each refresh.
   *
   * @param contPosterior (row,col) -> (mu, var) of the truth posterior in
   *                      normalized space
@@ -41,20 +39,12 @@ final case class TCrowdResult(
 ) {
   /** Unified worker quality `q_u = erf(eps/sqrt(2 phi_u))` (paper Eq. 2). */
   def workerQuality: Map[Int, Double] = phi.map { case (u, p) => u -> quality(TCrowd.Eps, p) }
-
-  /** Per-cell quality `q_ij^u = erf(eps/sqrt(2 alpha_i beta_j phi_u))`. */
-  def cellQuality(u: Int, row: Int, colIdx: Int): Double =
-    quality(TCrowd.Eps, cellVariance(u, row, colIdx))
-
-  /** Answer variance `alpha_i * beta_j * phi_u` of worker u on a cell. */
-  def cellVariance(u: Int, row: Int, colIdx: Int): Double =
-    alpha.getOrElse(row, 1.0) * beta.getOrElse(colIdx, 1.0) * phi.getOrElse(u, 1.0)
 }
 
 /** T-Crowd truth inference (paper §4): EM over a unified worker model.
   *
-  * Layout (DESIGN.md §6): one collect of the answer relation
-  * ([[Model.answerTable]]); the whole EM then runs on the driver as loops
+  * Layout (DESIGN.md §6): the EM reads the collected answer relation
+  * ([[AnswerTable]]) and runs on the driver as loops
   * over the table's primitive arrays (see [[Em]]), with no Spark job per
   * iteration. The paper's tables are a few thousand answers, and 128K
   * answers take about 4 MB of arrays.
@@ -70,16 +60,17 @@ object TCrowd {
   /** EM stops once no log-parameter moved by more than this in an iteration. */
   val Tol = 5e-3
 
+  /** T-Crowd on [[CrowdDataset.table]]: one Spark job on the dataset's first read, none after. */
   def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
-    infer(Model.answerTable(ds), cfg)
+    infer(ds.table, cfg)
 
   /** TC-onlyCate of Table 7: T-Crowd restricted to categorical columns. */
   def inferOnlyCategorical(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
-    infer(Model.answerTable(ds).restrictTo(_.isCategorical), cfg)
+    infer(ds.table.restrictTo(_.isCategorical), cfg)
 
   /** TC-onlyCont of Table 7: T-Crowd restricted to continuous columns. */
   def inferOnlyContinuous(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
-    infer(Model.answerTable(ds).restrictTo(_.isContinuous), cfg)
+    infer(ds.table.restrictTo(_.isContinuous), cfg)
 
   /** T-Crowd on an already collected answer table; runs no Spark job. */
   def infer(t: AnswerTable, cfg: TCrowdConfig): TCrowdResult = new Em(t).run(cfg)

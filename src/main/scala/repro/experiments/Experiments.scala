@@ -62,14 +62,12 @@ object Experiments {
     val scores =
       for {
         ds <- Surrogates.all(spark)
-        t = Model.answerTable(ds)
-        truth = Metrics.truthOf(ds)
         method <- heterogeneousMethods(cfg) ++
           (if (ds.categoricalCols.nonEmpty) categoricalMethods(cfg) else Seq.empty) ++
           (if (ds.continuousCols.nonEmpty) continuousMethods(cfg) else Seq.empty)
       } yield {
         val t0 = System.nanoTime()
-        val (er, mn) = Metrics.evaluate(t, truth, method.infer(t))
+        val (er, mn) = Metrics.evaluate(ds, method.infer(ds))
         val secs = (System.nanoTime() - t0) / 1e9
         Console.err.println(f"[table7] ${ds.name}%-10s ${method.name}%-12s " +
           f"error=${fmt(er)} mnad=${fmt(mn)} (${secs}%.1f s)")
@@ -201,9 +199,8 @@ object Experiments {
   def sweepPoint(spark: SparkSession, cfg: SimConfig,
                  tcrowdCfg: TCrowdConfig = benchCfg): Seq[Score] = {
     val ds = new CrowdSim(cfg).dataset(spark)
-    val (t, truth) = (Model.answerTable(ds), Metrics.truthOf(ds))
     heterogeneousMethods(tcrowdCfg).map { m =>
-      val (er, mn) = Metrics.evaluate(t, truth, m.infer(t))
+      val (er, mn) = Metrics.evaluate(ds, m.infer(ds))
       Console.err.println(f"[sweep] ${cfg.name}%-22s ${m.name}%-8s error=${fmt(er)} mnad=${fmt(mn)}")
       Score(m.name, cfg.name, er, mn)
     }
@@ -225,14 +222,11 @@ object Experiments {
   def noise(spark: SparkSession, gammas: Seq[Double] = Seq(0.1, 0.2, 0.3, 0.4),
             tcrowdCfg: TCrowdConfig = benchCfg): (Seq[(Double, Seq[Score])], String) = {
     val base = Surrogates.celebrity(spark)
-    val truth = Metrics.truthOf(base)
-    val stats = Model.answerTable(base).stats
     val rows = gammas.map { g =>
-      val noisy = CrowdSim.addNoise(base, stats, g, seed = 101L)
-      val t = Model.answerTable(noisy)
+      val noisy = CrowdSim.addNoise(base, base.table.stats, g, seed = 101L)
       val methods: Seq[InferenceMethod] = Seq(TCrowdMethod(tcrowdCfg), Crh(), Gtm())
       g -> methods.map { m =>
-        val (er, mn) = Metrics.evaluate(t, truth, m.infer(t))
+        val (er, mn) = Metrics.evaluate(noisy, m.infer(noisy))
         Console.err.println(f"[noise] gamma=$g ${m.name}%-8s error=${fmt(er)} mnad=${fmt(mn)}")
         Score(m.name, noisy.name, er, mn)
       }
@@ -256,7 +250,7 @@ object Experiments {
       val rows = math.max(4, n / 20)
       val cfg = sweepConfig(m = 4, r = 0.5, difficulty = 1.0).copy(
         name = s"throughput-$n", numRows = rows)
-      val t = Model.answerTable(new CrowdSim(cfg).dataset(spark))
+      val t = new CrowdSim(cfg).dataset(spark).table
       val t0 = System.nanoTime()
       TCrowd.infer(t, TCrowdConfig(maxIters = 5, gdSteps = 3))
       val secs = (System.nanoTime() - t0) / 1e9

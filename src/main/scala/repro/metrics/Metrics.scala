@@ -1,6 +1,7 @@
 package repro.metrics
 
-import repro.core.{AnswerTable, CrowdDataset, Model, TruthCell}
+import org.apache.spark.sql.DataFrame
+import repro.core.{AnswerTable, CrowdDataset, TruthCell}
 
 /** The paper's two effectiveness measures (§6.2), as driver-side loops over
   * the truth cells that have an estimate.
@@ -35,14 +36,13 @@ object Metrics {
     (errorRate, if (perCol.isEmpty) Double.NaN else perCol.sum / perCol.size)
   }
 
-  /** [[evaluate]] on a dataset's answer relation and ground truth: two Spark
-    * jobs, one collect of each. Both are issued from this object, so the
-    * perfbench job trace attributes them to the metrics.
-    */
+  /** [[evaluate]] on a dataset's memoized [[CrowdDataset.table]] and [[CrowdDataset.truthCells]]. */
   def evaluate(ds: CrowdDataset, estimates: Seq[TruthCell]): (Double, Double) =
-    evaluate(Model.answerTable(ds.columns, ds.answers.collect().map(Model.answer)), truthOf(ds), estimates)
+    evaluate(ds.table, ds.truthCells, estimates)
 
-  /** The collected ground truth of `ds` (one Spark job). */
-  def truthOf(ds: CrowdDataset): Seq[TruthCell] =
-    ds.truth.collect().toSeq.map(r => TruthCell(r.getInt(0), r.getInt(1), r.getDouble(2)))
+  /** The collect of the ground truth behind [[CrowdDataset.truthCells]] (one
+    * Spark job), issued here so the perfbench job trace attributes it to the metrics.
+    */
+  private[repro] def collectTruth(truth: DataFrame): Seq[TruthCell] =
+    truth.collect().toSeq.map(r => TruthCell(r.getInt(0), r.getInt(1), r.getDouble(2)))
 }

@@ -71,10 +71,14 @@ class BaselineKernelSpec extends CrowdSpec {
       i => TCrowdMethod(tc(i)), i => TCrowdOnlyCate(tc(i)), i => TCrowdOnlyCont(tc(i)),
       i => Crh(i), i => Catd(i), _ => MajorityVote, _ => MedianBaseline,
       i => DawidSkene(i), i => Glad(i, gdSteps = i), i => ZenCrowd(i), i => Gtm(i))
+    // one collect per fresh dataset; a second infer reads the kept table
     for (mk <- byIters; iters <- Seq(1, 8)) {
-      val m = mk(iters)
-      assert(jobsOf(m.infer(ds)) == 1, s"${m.name} at $iters iterations")
+      val (m, fresh) = (mk(iters), ds.copy())
+      assert(jobsOf(m.infer(fresh)) == 1, s"${m.name} at $iters iterations")
+      assert(jobsOf(m.infer(fresh)) == 0, s"${m.name} at $iters iterations, again")
     }
-    assert(jobsOf(VoteMedian.infer(ds)) == 1)
+    val fresh = ds.copy()
+    assert(jobsOf(VoteMedian.infer(fresh)) == 1)
+    assert(jobsOf(VoteMedian.infer(fresh)) == 0)
   }
 }

@@ -84,14 +84,14 @@ class HeterogeneousBaselinesSpec extends CrowdSpec {
   }
 
   test("CRH works on categorical-only and continuous-only restrictions") {
-    val t = Model.answerTable(ds)
+    val t = ds.table
     val (catOnly, contOnly) = (t.restrictTo(_.isCategorical), t.restrictTo(_.isContinuous))
     assert(Crh().infer(catOnly).size == 80)
     assert(Crh().infer(contOnly).size == 80)
   }
 
   test("CATD works on categorical-only and continuous-only restrictions") {
-    val t = Model.answerTable(ds)
+    val t = ds.table
     val (catOnly, contOnly) = (t.restrictTo(_.isCategorical), t.restrictTo(_.isContinuous))
     assert(Catd().infer(catOnly).size == 80)
     assert(Catd().infer(contOnly).size == 80)

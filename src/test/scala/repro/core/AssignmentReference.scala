@@ -45,6 +45,10 @@ object AssignmentReference {
 
     def contOf(i: Int, j: Int): (Double, Double) = contPost.getOrElse((i, j), (0.0, Model.PriorVar))
 
+    /** Answer variance `alpha_i * beta_j * phi_u` of worker u on cell (i, j); a missing parameter is 1. */
+    def answerVariance(u: Int, i: Int, j: Int): Double =
+      res.alpha.getOrElse(i, 1.0) * res.beta.getOrElse(j, 1.0) * res.phi.getOrElse(u, 1.0)
+
     def catOf(i: Int, j: Int): Array[Double] = {
       val l = labelCount(j)
       catPost.getOrElse((i, j), Array.fill(l)(1.0 / l))
@@ -57,7 +61,7 @@ object AssignmentReference {
     def normalize(j: Int, v: Double): Double = Model.normalize(res.contStats, j, v)
 
     def applyAnswer(u: Int, i: Int, j: Int, raw: Double): Unit = {
-      val v = res.cellVariance(u, i, j)
+      val v = answerVariance(u, i, j)
       if (labelCount.getOrElse(j, 0) > 0) {
         catPost((i, j)) = InfoGain.answerPosterior(catOf(i, j), quality(TCrowd.Eps, v), raw.toInt)
       } else {
@@ -106,9 +110,9 @@ object AssignmentReference {
 
   def inherentGain(snap: MapSnapshot, u: Int, i: Int, j: Int): Double =
     if (snap.labelCount.getOrElse(j, 0) > 0)
-      categoricalGain(snap.catOf(i, j), snap.res.cellQuality(u, i, j))
+      categoricalGain(snap.catOf(i, j), quality(TCrowd.Eps, snap.answerVariance(u, i, j)))
     else
-      InfoGain.continuousGain(snap.contOf(i, j)._2, snap.res.cellVariance(u, i, j))
+      InfoGain.continuousGain(snap.contOf(i, j)._2, snap.answerVariance(u, i, j))
 
   /** The §5.2 error distribution predicted for worker u on cell (i, j), if any. */
   def predicted(st: MapState, u: Int, i: Int, j: Int): Option[CondDist] =

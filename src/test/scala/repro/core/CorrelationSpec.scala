@@ -46,7 +46,7 @@ class CorrelationSpec extends CrowdSpec {
 
   private lazy val ds = mkDataset(rows = 60, workers = 6)
   private lazy val res = mkResult(60)
-  private lazy val table = Model.answerTable(ds)
+  private lazy val table = ds.table
   private lazy val model = Correlation.estimate(table, res)
 
   private lazy val answers = table.answers
@@ -95,7 +95,7 @@ class CorrelationSpec extends CrowdSpec {
     val answers = for (i <- 0 until 3; j <- Seq(2, 3)) yield Answer(0, i, j, 0.1)
     val constant = CrowdDataset("const", Model.answersDf(spark, answers), columns,
       Model.truthDf(spark, Seq.empty))
-    val m = Correlation.estimate(Model.answerTable(constant), mkResult(3))
+    val m = Correlation.estimate(constant.table, mkResult(3))
     assert(m.marginal(2).variance == 0.0)
     assert(m.weight((2, 3)) == 0.0 && m.weight((3, 2)) == 0.0)
   }

@@ -45,7 +45,7 @@ class ModelSpec extends CrowdSpec {
   }
 
   /** The continuous stats every inference method normalizes with. */
-  private def continuousStats(ds: CrowdDataset) = Model.answerTable(ds).stats
+  private def continuousStats(ds: CrowdDataset) = ds.table.stats
 
   test("continuousStats computes per-column answer mean/std (oracle-checked)") {
     val ds = tinyDs
@@ -89,9 +89,22 @@ class ModelSpec extends CrowdSpec {
     assert(contOnly.answers.count() == 5)
     assert(contOnly.truth.count() == 2)
     // the answer-table restriction behind TC-onlyCate / TC-onlyCont
-    val t = Model.answerTable(ds)
+    val t = ds.table
     assert(t.restrictTo(_.isCategorical).size == 3 && t.restrictTo(_.isCategorical).columns == ds.categoricalCols)
     assert(t.restrictTo(_.isContinuous).size == 5 && t.restrictTo(_.isContinuous).columns == ds.continuousCols)
+  }
+
+  test("an answer table rejects a second answer of one worker on one cell, naming the cell") {
+    val ds = tinyDs
+    val again = Answer(1, 0, 1, 99.0) // worker 1 already answered cell (0, 1) with 14
+    val fromDs = intercept[IllegalArgumentException](
+      ds.copy(answers = ds.answers.union(Model.answersDf(spark, Seq(again)))).table)
+    val fromLog = intercept[IllegalArgumentException](Model.answerTable(ds.columns, Seq(again, Answer(1, 0, 1, 14.0))))
+    for (e <- Seq(fromDs, fromLog))
+      assert(e.getMessage.contains("worker 1 answered cell (0, 1) twice"), e.getMessage)
+    // the same answer twice is rejected too; another worker on the cell is not
+    intercept[IllegalArgumentException](Model.answerTable(ds.columns, Seq(Answer(1, 0, 1, 14.0), Answer(1, 0, 1, 14.0))))
+    assert(Model.answerTable(ds.columns, Seq(Answer(1, 0, 1, 14.0), Answer(2, 0, 1, 14.0))).size == 2)
   }
 
   test("normalize and denormalize are inverse on continuous columns only") {

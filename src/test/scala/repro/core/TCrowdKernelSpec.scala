@@ -6,6 +6,7 @@ import repro.CrowdSpec
 import repro.crowd.{CrowdSim, SimColumn, SimConfig}
 import repro.experiments.Experiments
 import repro.metrics.Metrics
+import repro.perfbench.JobAttribution
 import scala.util.Random
 
 /** The driver-side T-Crowd kernel against [[TCrowdSparkReference]], the
@@ -94,7 +95,7 @@ class TCrowdKernelSpec extends CrowdSpec {
       ("shuffled" -> withAnswers(new Random(3).shuffle(answers), 4))
     val runs = variants.map { case (name, ds) =>
       val res = TCrowd.infer(ds, cfg)
-      (name, res, Correlation.estimate(Model.answerTable(ds), res))
+      (name, res, Correlation.estimate(ds.table, res))
     }
     val (_, res0, corr0) = runs.head
     runs.tail.foreach { case (name, res, corr) =>
@@ -110,32 +111,51 @@ class TCrowdKernelSpec extends CrowdSpec {
   }
 
   test("EM iterations and Correlation.estimate issue no Spark job") {
-    val short = jobsOf(TCrowd.infer(mixed, TCrowdConfig(maxIters = 1, gdSteps = 1)))
-    val long  = jobsOf(TCrowd.infer(mixed, TCrowdConfig(maxIters = 8, gdSteps = 4)))
+    val short = jobsOf(TCrowd.infer(mixed.copy(), TCrowdConfig(maxIters = 1, gdSteps = 1)))
+    val ds = mixed.copy()
+    val long  = jobsOf(TCrowd.infer(ds, TCrowdConfig(maxIters = 8, gdSteps = 4)))
     info(s"TCrowd.infer: $short jobs at 1x1 iterations, $long at 8x4")
     assert(short == long)
-    assert(long == 1) // the collect of Model.answerTable
-    val t = Model.answerTable(mixed)
-    val res = TCrowd.infer(t, cfg)
-    assert(jobsOf(Correlation.estimate(t, res)) == 0)
+    assert(long == 1) // the collect of CrowdDataset.table
+    assert(jobsOf(TCrowd.infer(ds, cfg)) == 0) // the table is kept
+    val res = TCrowd.infer(ds.table, cfg)
+    assert(jobsOf(Correlation.estimate(ds.table, res)) == 0)
+  }
+
+  private val table7Methods: Seq[InferenceMethod] = {
+    val tc = TCrowdConfig(maxIters = 2, gdSteps = 2)
+    Experiments.heterogeneousMethods(tc) ++ Experiments.categoricalMethods(tc) ++ Experiments.continuousMethods(tc)
   }
 
   test("Spark runs only at ingest: one job per infer(ds), none on a collected table or in an online session") {
-    val t = Model.answerTable(mixed)
-    val truth = Metrics.truthOf(mixed)
     val tc = TCrowdConfig(maxIters = 2, gdSteps = 2)
-    val methods = Experiments.heterogeneousMethods(tc) ++ Experiments.categoricalMethods(tc) ++
-      Experiments.continuousMethods(tc)
-    for (m <- methods) {
-      assert(jobsOf(m.infer(mixed)) == 1, m.name)
-      assert(jobsOf(m.infer(t)) == 0, m.name)
+    for (m <- table7Methods) {
+      val ds = mixed.copy()
+      assert(jobsOf(m.infer(ds)) == 1, m.name)
+      assert(jobsOf(m.infer(ds)) == 0, m.name)
+      assert(jobsOf(m.infer(ds.table)) == 0, m.name)
     }
-    val res = TCrowd.infer(t, tc)
-    assert(jobsOf(Correlation.estimate(t, res)) == 0)
-    assert(jobsOf(Metrics.evaluate(t, truth, res.estimatesLocal)) == 0)
-    assert(jobsOf(Metrics.evaluate(mixed, res.estimatesLocal)) == 2) // the answers and the truth
+    val ds = mixed.copy()
+    val res = TCrowd.infer(ds.table, tc)
+    assert(jobsOf(Correlation.estimate(ds.table, res)) == 0)
+    assert(jobsOf(Metrics.evaluate(ds, res.estimatesLocal)) == 1) // the truth
+    assert(jobsOf(Metrics.evaluate(ds, res.estimatesLocal)) == 0)
+    assert(jobsOf(Metrics.evaluate(ds.table, ds.truthCells, res.estimatesLocal)) == 0)
+    assert(jobsOf(Metrics.evaluate(mixed.copy(), res.estimatesLocal)) == 2) // the answers and the truth
     val sim = new CrowdSim(Experiments.onlineConfig(rows = 12))
     assert(jobsOf(Assignment.simulate(sim, spark, new StructGainStrategy,
       SimRunConfig(maxAvgAnswers = 2.0, tcrowd = tc))) == 0)
+  }
+
+  test("a Table 7 pass on a fresh dataset runs 2 Spark jobs: the answers in core.Model, the truth in metrics.Metrics") {
+    val ds = mixed.copy()
+    assert(table7Methods.size == 11)
+    val tracer = new JobAttribution(spark.sparkContext)
+    spark.sparkContext.addSparkListener(tracer)
+    val work = try {
+      table7Methods.foreach(m => Metrics.evaluate(ds, m.infer(ds)))
+      tracer.snapshot
+    } finally spark.sparkContext.removeSparkListener(tracer)
+    assert(work.map { case (module, w) => module -> w.jobs } == Map("core.Model" -> 1L, "metrics.Metrics" -> 1L), work)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.CrowdSpec
+import repro.core.MathUtil.quality
 import repro.crowd.{CrowdSim, SimColumn, SimConfig}
 import repro.metrics.Metrics
 
@@ -49,20 +50,23 @@ class TCrowdSpec extends CrowdSpec {
     assert(math.abs(gb) < 1e-6)
   }
 
-  test("cellVariance is the alpha*beta*phi product") {
+  private lazy val snap = new Snapshot(res, sim.cfg.numRows, ds.columns)
+
+  test("Snapshot.answerVariance is the alpha*beta*phi product") {
     val u = res.phi.keys.head
     val i = res.alpha.keys.head
     val j = res.beta.keys.head
     val expected = res.alpha(i) * res.beta(j) * res.phi(u)
-    assert(math.abs(res.cellVariance(u, i, j) - expected) < 1e-12)
+    assert(math.abs(snap.answerVariance(snap.workerVariance(u), i, j) - expected) < 1e-12)
   }
 
-  test("cellQuality decreases with row difficulty") {
-    val u = res.phi.keys.head
+  test("Snapshot answer quality decreases with row difficulty") {
+    val phi = snap.workerVariance(res.phi.keys.head)
     val j = res.beta.keys.head
     val easy = res.alpha.minBy(_._2)._1
     val hard = res.alpha.maxBy(_._2)._1
-    assert(res.cellQuality(u, easy, j) >= res.cellQuality(u, hard, j))
+    assert(quality(TCrowd.Eps, snap.answerVariance(phi, easy, j)) >=
+      quality(TCrowd.Eps, snap.answerVariance(phi, hard, j)))
   }
 
   test("estimates cover all cells once") {

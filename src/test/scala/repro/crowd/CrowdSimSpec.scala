@@ -114,13 +114,13 @@ class CrowdSimSpec extends CrowdSpec {
 
   test("addNoise with gamma=0 leaves answers unchanged") {
     val ds = sim.dataset(spark)
-    val noisy = CrowdSim.addNoise(ds, Model.answerTable(ds).stats, 0.0, seed = 5L)
+    val noisy = CrowdSim.addNoise(ds, ds.table.stats, 0.0, seed = 5L)
     assert(noisy.answers.except(ds.answers).count() == 0)
   }
 
   test("addNoise with gamma=1 perturbs most answers but keeps domains") {
     val ds = sim.dataset(spark)
-    val noisy = CrowdSim.addNoise(ds, Model.answerTable(ds).stats, 1.0, seed = 5L)
+    val noisy = CrowdSim.addNoise(ds, ds.table.stats, 1.0, seed = 5L)
     assert(noisy.answers.count() == ds.answers.count())
     // categorical answers remain valid labels
     val badCat = noisy.answers
@@ -135,14 +135,22 @@ class CrowdSimSpec extends CrowdSpec {
 
   test("addNoise keeps the answer count per cell") {
     val ds = sim.dataset(spark)
-    val noisy = CrowdSim.addNoise(ds, Model.answerTable(ds).stats, 0.3, seed = 6L)
+    val noisy = CrowdSim.addNoise(ds, ds.table.stats, 0.3, seed = 6L)
     val a = noisy.answers.groupBy("row", "col").count()
     assert(a.filter(col("count") =!= cfg.answersPerTask).count() == 0)
   }
 
+  test("addNoise's dataset collects its own, noisy answers, not the base's") {
+    val ds = sim.dataset(spark)
+    val noisy = CrowdSim.addNoise(ds, ds.table.stats, 1.0, seed = 5L)
+    val collected = noisy.answers.collect().map(Model.answer).toSet
+    assert(noisy.table.answers.toSet == collected)
+    assert(noisy.table.answers.toSet != ds.table.answers.toSet)
+  }
+
   test("addNoise is a lazy transform: it issues no Spark job") {
     val ds = sim.dataset(spark)
-    val stats = Model.answerTable(ds).stats
+    val stats = ds.table.stats
     assert(jobsOf(CrowdSim.addNoise(ds, stats, 0.3, seed = 6L)) == 0)
   }
 

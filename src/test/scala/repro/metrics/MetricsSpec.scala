@@ -47,8 +47,8 @@ class MetricsSpec extends CrowdSpec {
 
   test("errorRate is NaN without categorical columns") {
     val d = ds
-    val contOnly = Model.answerTable(d).restrictTo(_.isContinuous)
-    assert(Metrics.evaluate(contOnly, Metrics.truthOf(d), Seq(TruthCell(0, 1, 1.0)))._1.isNaN)
+    val contOnly = d.table.restrictTo(_.isContinuous)
+    assert(Metrics.evaluate(contOnly, d.truthCells, Seq(TruthCell(0, 1, 1.0)))._1.isNaN)
   }
 
   test("mnad: exact estimates give 0") {
@@ -73,8 +73,8 @@ class MetricsSpec extends CrowdSpec {
 
   test("mnad is NaN without continuous columns") {
     val d = ds
-    val catOnly = Model.answerTable(d).restrictTo(_.isCategorical)
-    assert(Metrics.evaluate(catOnly, Metrics.truthOf(d), Seq(TruthCell(0, 0, 0.0)))._2.isNaN)
+    val catOnly = d.table.restrictTo(_.isCategorical)
+    assert(Metrics.evaluate(catOnly, d.truthCells, Seq(TruthCell(0, 0, 0.0)))._2.isNaN)
   }
 
   test("evaluate returns both measures at once") {
