@@ -62,7 +62,8 @@ final case class DawidSkene(iters: Int = 8) extends InferenceMethod {
         if (t.cellLabels(c) == 0) Array.empty[Double]
         else {
           val pr = prior(t.cellIds(c)._2)
-          softmax(score(c).indices.map(z => score(c)(z) + math.log(pr(z)))).toArray
+          for (z <- score(c).indices) score(c)(z) += math.log(pr(z))
+          softmax(score(c))
         }
       }.toArray
     }

@@ -51,13 +51,20 @@ object MathUtil {
   def differentialEntropy(variance: Double): Double =
     0.5 * math.log(2.0 * math.Pi * math.E * math.max(variance, 1e-300))
 
-  /** Numerically-stable softmax over raw log-scores. */
-  def softmax(scores: Seq[Double]): Seq[Double] = {
-    if (scores.isEmpty) return Seq.empty
-    val m   = scores.max
-    val exps = scores.map(s => math.exp(s - m))
-    val z    = exps.sum
-    exps.map(_ / z)
+  /** Numerically-stable softmax over raw log-scores, as a new array; the
+    * exponentials are summed left to right.
+    */
+  def softmax(scores: Array[Double]): Array[Double] = {
+    val p = new Array[Double](scores.length)
+    var m = Double.NegativeInfinity
+    var i = 0
+    while (i < p.length) { m = math.max(m, scores(i)); i += 1 }
+    var z = 0.0
+    i = 0
+    while (i < p.length) { p(i) = math.exp(scores(i) - m); z += p(i); i += 1 }
+    i = 0
+    while (i < p.length) { p(i) /= z; i += 1 }
+    p
   }
 
   /** Index of the largest entry; ties go to the smallest index. */

@@ -85,17 +85,48 @@ object Model {
     * z-normalize values so a single worker variance is meaningful across
     * columns of different scales (see DESIGN.md §6). Std is floored at 1e-9
     * so constant columns normalize to 0 rather than NaN. Each column's
-    * values are summed in sorted order, so the stats do not depend on the
-    * order of `answers`. Answers on columns outside the schema or on
-    * categorical columns are ignored.
+    * values are copied into one `double[]` and summed in sorted order, so
+    * the stats do not depend on the order of `answers`. Answers on columns
+    * outside the schema or on categorical columns are ignored.
     */
-  def continuousStats(columns: Seq[ColumnSpec], answers: Seq[Answer]): Map[Int, (Double, Double)] = {
-    val contCols = columns.filter(_.isContinuous).map(_.col).toSet
-    answers.filter(a => contCols(a.col)).groupBy(_.col).map { case (j, as) =>
-      val m = new MathUtil.Moments
-      as.map(_.value).sorted.foreach(v => m.add(v))
-      j -> (m.meanX, math.max(math.sqrt(m.varX), 1e-9))
+  def continuousStats(columns: Seq[ColumnSpec], answers: Array[Answer]): Map[Int, (Double, Double)] = {
+    val position = columnPositions(columns)
+    val isCont = columns.map(_.isContinuous).toArray
+    val pos = new Array[Int](answers.length) // answer k's continuous column position, or -1
+    val count = new Array[Int](isCont.length)
+    var k = 0
+    while (k < answers.length) {
+      val p = position(answers(k).col)
+      pos(k) = if (p >= 0 && isCont(p)) p else -1
+      if (pos(k) >= 0) count(pos(k)) += 1
+      k += 1
     }
+    val values = count.map(n => new Array[Double](n))
+    java.util.Arrays.fill(count, 0)
+    k = 0
+    while (k < answers.length) {
+      val p = pos(k)
+      if (p >= 0) { values(p)(count(p)) = answers(k).value; count(p) += 1 }
+      k += 1
+    }
+    columns.indices.filter(values(_).nonEmpty).map { p =>
+      val vs = values(p)
+      java.util.Arrays.sort(vs)
+      val m = new MathUtil.Moments
+      var i = 0
+      while (i < vs.length) { m.add(vs(i)); i += 1 }
+      columns(p).col -> (m.meanX, math.max(math.sqrt(m.varX), 1e-9))
+    }.toMap
+  }
+
+  /** The position in `columns` of a column id, or -1 for an id outside the
+    * schema; a repeated id maps to its last position, as in a `Map` built
+    * from the schema.
+    */
+  private[core] def columnPositions(columns: Seq[ColumnSpec]): Int => Int = {
+    val ids = columns.map(_.col).sorted.distinct.toArray
+    val pos = ids.map(j => columns.lastIndexWhere(_.col == j))
+    j => { val s = java.util.Arrays.binarySearch(ids, j); if (s < 0) -1 else pos(s) }
   }
 
   /** z-normalize value `v` of column `c` with per-column (mean, std) stats;
@@ -117,11 +148,35 @@ object Model {
   /** The data boundary of every inference method: collects the answer
     * relation of `ds` (one Spark job) into [[CrowdDataset.table]], from
     * here so that the perfbench job trace attributes it to this object.
+    * The rows come straight off the executed plan and are read by ordinal,
+    * after [[requireSchema]] has checked that the ordinals mean what they say.
     *
-    * @throws IllegalArgumentException as [[AnswerTable]] does
+    * @throws IllegalArgumentException for a relation that is not
+    *         [[answerSchema]] or has a null field, and as [[AnswerTable]] does
     */
-  private[core] def collectTable(ds: CrowdDataset): AnswerTable =
-    answerTable(ds.columns, ds.answers.collect().map(answer))
+  private[core] def collectTable(ds: CrowdDataset): AnswerTable = {
+    requireSchema(ds.answers, answerSchema, "answers")
+    sortedTable(ds.columns, ds.answers.queryExecution.executedPlan.executeCollect().map { r =>
+      if (r.anyNull) throw new IllegalArgumentException("answers has a null field")
+      Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))
+    })
+  }
+
+  /** Checks that `df` has exactly the fields of `schema`, by name and type
+    * in order (nullability aside), before its rows are read by ordinal: an
+    * int slot read as a double would silently reinterpret its bits.
+    *
+    * @throws IllegalArgumentException naming the first field that differs
+    */
+  private[repro] def requireSchema(df: DataFrame, schema: StructType, relation: String): Unit = {
+    def field(fs: Array[StructField], i: Int): String =
+      if (i < fs.length) s"${fs(i).name}: ${fs(i).dataType.simpleString}" else "missing"
+    val got = df.schema.fields
+    for (i <- 0 until math.max(got.length, schema.length)) {
+      val (g, w) = (field(got, i), field(schema.fields, i))
+      if (g != w) throw new IllegalArgumentException(s"$relation field $i is $g, expected $w")
+    }
+  }
 
   /** The [[AnswerTable]] of driver-side `answers` under the schema
     * `columns`. The answers are sorted by `(row, col, worker, value)`, so
@@ -131,10 +186,13 @@ object Model {
     * @throws IllegalArgumentException as [[AnswerTable]] does
     */
   def answerTable(columns: Seq[ColumnSpec], answers: Iterable[Answer]): AnswerTable =
-    new AnswerTable(columns, answers.toArray.sorted(answerOrder))
+    sortedTable(columns, answers.toArray)
 
-  /** A `(worker, row, col, value)` row of an answer relation. */
-  def answer(r: Row): Answer = Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))
+  /** [[answerTable]] of an array it may sort in place. */
+  private def sortedTable(columns: Seq[ColumnSpec], answers: Array[Answer]): AnswerTable = {
+    java.util.Arrays.sort(answers, answerOrder)
+    new AnswerTable(columns, answers)
+  }
 
   private val answerOrder: Ordering[Answer] = (x, y) =>
     if (x.row != y.row) Integer.compare(x.row, y.row)

@@ -36,10 +36,7 @@ final case class TCrowdResult(
     contStats: Map[Int, (Double, Double)],
     iterations: Int,
     converged: Boolean,
-) {
-  /** Unified worker quality `q_u = erf(eps/sqrt(2 phi_u))` (paper Eq. 2). */
-  def workerQuality: Map[Int, Double] = phi.map { case (u, p) => u -> quality(TCrowd.Eps, p) }
-}
+)
 
 /** T-Crowd truth inference (paper §4): EM over a unified worker model.
   *
@@ -84,7 +81,7 @@ private final class Em(t: AnswerTable) {
   import TCrowd.{Eps, Lr, Tol}
   import t.{cell, value, labels, worker, row, col}
 
-  private val all     = 0 until t.size
+  private val all     = Array.range(0, t.size)
   private val lnPhi   = new Array[Double](t.workerIds.length)
   private val lnAlpha = new Array[Double](t.rowIds.length)
   private val lnBeta  = new Array[Double](t.colIds.length)

@@ -25,7 +25,7 @@ object MathUtilProps extends Properties("MathUtil") {
 
   property("softmax is a distribution") =
     Prop.forAll(Gen.listOfN(6, Gen.choose(-30.0, 30.0))) { scores =>
-      val p = softmax(scores)
+      val p = softmax(scores.toArray)
       math.abs(p.sum - 1.0) < 1e-9 && p.forall(x => x >= 0 && x <= 1)
     }
 

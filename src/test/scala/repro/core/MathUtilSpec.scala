@@ -85,7 +85,7 @@ class MathUtilSpec extends AnyFunSuite {
   test("softmax sums to 1 and preserves order") {
     val r = new Random(7)
     for (_ <- 1 to 100) {
-      val scores = Seq.fill(5)(r.nextDouble() * 40 - 20)
+      val scores = Array.fill(5)(r.nextDouble() * 40 - 20)
       val p = softmax(scores)
       assert(math.abs(p.sum - 1.0) < 1e-9)
       assert(p.indexOf(p.max) == scores.indexOf(scores.max))
@@ -95,7 +95,7 @@ class MathUtilSpec extends AnyFunSuite {
   test("softmax is shift-invariant") {
     val r = new Random(11)
     for (_ <- 1 to 50) {
-      val s = Seq.fill(4)(r.nextDouble() * 20 - 10)
+      val s = Array.fill(4)(r.nextDouble() * 20 - 10)
       val c = r.nextDouble() * 200 - 100
       softmax(s).zip(softmax(s.map(_ + c))).foreach { case (x, y) =>
         assert(math.abs(x - y) < 1e-9)
@@ -104,12 +104,12 @@ class MathUtilSpec extends AnyFunSuite {
   }
 
   test("softmax handles extreme scores without NaN") {
-    val p = softmax(Seq(1e300, -1e300, 0.0))
+    val p = softmax(Array(1e300, -1e300, 0.0))
     assert(!p.exists(_.isNaN))
     assert(math.abs(p.head - 1.0) < 1e-12)
   }
 
-  test("softmax of empty input is empty") { assert(softmax(Seq.empty).isEmpty) }
+  test("softmax of empty input is empty") { assert(softmax(Array.empty[Double]).isEmpty) }
 
   test("standardNormalQuantile at known points") {
     assert(math.abs(standardNormalQuantile(0.5)) < 1e-8)

@@ -107,6 +107,31 @@ class ModelSpec extends CrowdSpec {
     assert(Model.answerTable(ds.columns, Seq(Answer(1, 0, 1, 14.0), Answer(2, 0, 1, 14.0))).size == 2)
   }
 
+  test("an answer relation that is not (worker, row, col: int, value: double) is rejected, naming the field") {
+    val ds = tinyDs
+    import org.apache.spark.sql.functions.col
+    val intValue = ds.answers.select(col("worker"), col("row"), col("col"), col("value").cast("int").as("value"))
+    val swapped = ds.answers.select("row", "worker", "col", "value")
+    for ((df, field) <- Seq(intValue -> "field 3 is value: int, expected value: double",
+                            swapped -> "field 0 is row: int, expected worker: int")) {
+      val e = intercept[IllegalArgumentException](ds.copy(answers = df).table)
+      assert(e.getMessage == s"answers $field", e.getMessage)
+      // the same relations on the truth path
+      intercept[IllegalArgumentException](ds.copy(truth = df).truthCells)
+    }
+  }
+
+  test("an answer or truth relation with a null field is rejected") {
+    val ds = tinyDs
+    import org.apache.spark.sql.functions.{col, lit, when}
+    val nullValue = ds.answers.withColumn("value", when(col("row") === 1, lit(null)).otherwise(col("value")))
+    val e = intercept[IllegalArgumentException](ds.copy(answers = nullValue).table)
+    assert(e.getMessage == "answers has a null field", e.getMessage)
+    val nullTruth = ds.truth.withColumn("value", when(col("row") === 1, lit(null)).otherwise(col("value")))
+    val f = intercept[IllegalArgumentException](ds.copy(truth = nullTruth).truthCells)
+    assert(f.getMessage == "truth has a null field", f.getMessage)
+  }
+
   test("normalize and denormalize are inverse on continuous columns only") {
     val stats = Map(1 -> (16.0, 4.0))
     assert(Model.normalize(stats, 1, 20.0) == 1.0)

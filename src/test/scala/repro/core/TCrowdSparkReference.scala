@@ -165,7 +165,8 @@ object TCrowdSparkReference {
     * [[Model.continuousStats]] and an `isCat` flag, and the stats.
     */
   private def normalized(ds: CrowdDataset): (DataFrame, Map[Int, (Double, Double)]) = {
-    val stats  = Model.continuousStats(ds.columns, ds.answers.collect().toSeq.map(Model.answer))
+    val stats  = Model.continuousStats(ds.columns,
+      ds.answers.collect().map(r => Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))))
     val catSet = ds.labelCount.filter(_._2 > 0).keySet
     val normUdf = udf((c: Int, v: Double) => Model.normalize(stats, c, v))
     val df = ds.answers.select(
@@ -188,6 +189,6 @@ object TCrowdSparkReference {
       val l = labelCount(j)
       val score = new Array[Double](l)
       rs.foreach(r => score(Model.label(i, j, r.getDouble(2), l)) = r.getDouble(3))
-      cell -> softmax(score.toSeq).toArray
+      cell -> softmax(score)
     }
 }

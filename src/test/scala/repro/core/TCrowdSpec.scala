@@ -38,7 +38,10 @@ class TCrowdSpec extends CrowdSpec {
   }
 
   test("worker qualities are probabilities") {
-    res.workerQuality.values.foreach(q => assert(q > 0 && q < 1))
+    res.phi.values.foreach { p =>
+      val q = MathUtil.quality(TCrowd.Eps, p)
+      assert(q > 0 && q < 1)
+    }
   }
 
   test("row and column difficulties are positive with geometric mean 1") {

@@ -143,7 +143,7 @@ class CrowdSimSpec extends CrowdSpec {
   test("addNoise's dataset collects its own, noisy answers, not the base's") {
     val ds = sim.dataset(spark)
     val noisy = CrowdSim.addNoise(ds, ds.table.stats, 1.0, seed = 5L)
-    val collected = noisy.answers.collect().map(Model.answer).toSet
+    val collected = noisy.answers.collect().map(r => Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))).toSet
     assert(noisy.table.answers.toSet == collected)
     assert(noisy.table.answers.toSet != ds.table.answers.toSet)
   }

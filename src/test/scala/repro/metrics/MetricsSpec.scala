@@ -51,6 +51,21 @@ class MetricsSpec extends CrowdSpec {
     assert(Metrics.evaluate(contOnly, d.truthCells, Seq(TruthCell(0, 1, 1.0)))._1.isNaN)
   }
 
+  test("a truth relation that is not (row, col: int, value: double) is rejected, naming the field") {
+    val d = ds
+    import org.apache.spark.sql.functions.col
+    val intValue = d.truth.select(col("row"), col("col"), col("value").cast("int").as("value"))
+    // an answer relation in place of the truth: (row, worker, col, value)
+    val answers = d.answers.select("row", "worker", "col", "value")
+    for ((df, field) <- Seq(intValue -> "field 2 is value: int, expected value: double",
+                            answers -> "field 1 is worker: int, expected col: int")) {
+      val e = intercept[IllegalArgumentException](Metrics.evaluate(d.copy(truth = df), Seq(TruthCell(0, 0, 0.0))))
+      assert(e.getMessage == s"truth $field", e.getMessage)
+      // the same relations on the answers path
+      intercept[IllegalArgumentException](d.copy(answers = df).table)
+    }
+  }
+
   test("mnad: exact estimates give 0") {
     val est = Seq(TruthCell(0, 1, 12.0), TruthCell(1, 1, 7.0),
                   TruthCell(0, 2, 110.0), TruthCell(1, 2, 92.0))
