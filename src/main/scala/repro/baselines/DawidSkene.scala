@@ -2,7 +2,6 @@ package repro.baselines
 
 import repro.core._
 import repro.core.MathUtil.{argmax, softmax}
-import scala.collection.mutable
 
 /** Dawid & Skene [9] — the "EM" row of Table 7. Classic confusion-matrix EM
   * applied per categorical column (the matrices of different columns live in
@@ -42,13 +41,14 @@ final case class DawidSkene(iters: Int = 8) extends InferenceMethod {
         val p = post(t.cell(k))
         for (z <- 0 until l) { conf(pair(k))(z * l + answer(k)) += p(z); total(pair(k))(z) += p(z) }
       }
-      // column priors = average posterior mass per label
-      val prior = mutable.Map.empty[Int, Array[Double]]
+      // column priors = average posterior mass per label, per column position
+      val prior = new Array[Array[Double]](nCols)
       for (c <- t.catCells) {
-        val acc = prior.getOrElseUpdate(t.cellIds(c)._2, Array.fill(t.cellLabels(c))(1e-6))
-        post(c).indices.foreach(z => acc(z) += post(c)(z))
+        val p = t.colPos(t.cellIds(c)._2)
+        if (prior(p) == null) prior(p) = Array.fill(t.cellLabels(c))(1e-6)
+        post(c).indices.foreach(z => prior(p)(z) += post(c)(z))
       }
-      prior.values.foreach { acc => val s = acc.sum; acc.mapInPlace(_ / s) }
+      for (acc <- prior if acc != null) { val s = acc.sum; acc.mapInPlace(_ / s) }
 
       // ---- E-step: post(i,j)(z) ∝ prior_j(z) * prod_u pi(u,j,z,a^u), where
       // pi(u,j,z,a) = (conf(u,j)(z*L + a) + Delta) / (total(u,j)(z) + Delta * L)
@@ -61,7 +61,7 @@ final case class DawidSkene(iters: Int = 8) extends InferenceMethod {
       post = t.cellIds.indices.map { c =>
         if (t.cellLabels(c) == 0) Array.empty[Double]
         else {
-          val pr = prior(t.cellIds(c)._2)
+          val pr = prior(t.colPos(t.cellIds(c)._2))
           for (z <- score(c).indices) score(c)(z) += math.log(pr(z))
           softmax(score(c))
         }

@@ -22,11 +22,12 @@ import repro.core.MathUtil.softmax
   *
   * @param columns the schema; `col` indexes `columns`
   * @param answers raw answers, sorted as above
-  * @throws IllegalArgumentException naming the cell, for an answer on a
-  *         column outside the schema, a continuous answer that is not
-  *         finite (these two checked first), a second answer of one worker
-  *         on one cell, or a categorical answer that is not a
-  *         [[Model.label]] (checked last)
+  * @throws IllegalArgumentException naming the id, for a schema with a
+  *         negative or repeated column id ([[Model.columnPositions]]); then,
+  *         naming the cell, for an answer on a column outside the schema, a
+  *         continuous answer that is not finite (these two checked first), a
+  *         second answer of one worker on one cell, or a categorical answer
+  *         that is not a [[Model.label]] (checked last)
   */
 final class AnswerTable private[core] (val columns: Seq[ColumnSpec], val answers: Array[Answer]) {
   val size: Int = answers.length
@@ -101,7 +102,7 @@ final class AnswerTable private[core] (val columns: Seq[ColumnSpec], val answers
   }
 
   /** Per-column (mean, std) of the continuous answers ([[Model.continuousStats]]). */
-  val stats: Map[Int, (Double, Double)] = Model.continuousStats(columns, answers)
+  val stats: Map[Int, (Double, Double)] = Model.continuousStats(columns, answers, col)
   val value: Array[Double] = {
     val v = new Array[Double](size)
     var k = 0

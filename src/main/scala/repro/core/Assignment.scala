@@ -13,22 +13,20 @@ import scala.util.Random
   * likelihood reweighting), so recording an answer costs O(labels) and a
   * pick is one O(cells) scan of dense arrays ([[AssignState.bestOpenCell]]).
   *
-  * The posteriors of the `numRows` x `columns` table sit in arrays indexed
-  * by `row * columns.size + position of the column in columns`, alpha in an
-  * array per row and beta per column position. A cell the result does not
-  * cover, and any cell on a row outside the table, has the uniform
-  * (categorical) or `N(0, PriorVar)` (continuous) posterior; a row or
-  * column without a difficulty has 1, a worker without a variance 1.
+  * The snapshot owns the session's table layout: the posteriors of the
+  * `numRows` x `columns` table sit in arrays indexed by
+  * `row * columns.size + position of the column` ([[Model.columnPositions]]),
+  * alpha in an array per row and beta per column position. A cell the
+  * result does not cover, and any cell on a row outside the table, has the
+  * uniform (categorical) or `N(0, PriorVar)` (continuous) posterior; a row
+  * or column without a difficulty has 1, a worker without a variance 1. A
+  * read of a column outside the schema throws an
+  * `IllegalArgumentException` naming the column.
   */
 final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[ColumnSpec]) {
   private val m = columns.size
   private val labels = columns.map(_.numLabels).toArray
-  /** Position in `columns` of each column id; -1 for an id not in the schema. */
-  private val position: Array[Int] = {
-    val p = Array.fill(columns.map(_.col + 1).maxOption.getOrElse(0))(-1)
-    columns.zipWithIndex.foreach { case (c, k) => p(c.col) = k }
-    p
-  }
+  private val position = Model.columnPositions(columns)
   private val uniform = labels.map(l => Array.fill(l)(1.0 / l))
   private val mu    = new Array[Double](numRows * m)
   private val tphi  = new Array[Double](numRows * m)
@@ -52,34 +50,42 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
     for (p <- 0 until m) beta(p) = r.beta.getOrElse(columns(p).col, 1.0)
   }
 
-  private def positionOf(j: Int): Int = if (j >= 0 && j < position.length) position(j) else -1
+  /** The position of column j in `columns`.
+    *
+    * @throws IllegalArgumentException if j is not in the schema
+    */
+  private def schemaPosition(j: Int): Int = {
+    val p = position(j)
+    if (p < 0) throw new IllegalArgumentException(s"column $j is not in the schema")
+    p
+  }
 
   /** Dense index of cell (i, j); -1 if the row or the column is outside the table. */
   private[core] def index(i: Int, j: Int): Int = {
-    val p = positionOf(j)
+    val p = position(j)
     if (i < 0 || i >= numRows || p < 0) -1 else i * m + p
   }
 
-  def isCategorical(j: Int): Boolean = { val p = positionOf(j); p >= 0 && labels(p) > 0 }
+  private def hasRow(i: Int): Boolean = i >= 0 && i < numRows
+
+  def isCategorical(j: Int): Boolean = labels(schemaPosition(j)) > 0
 
   def contOf(i: Int, j: Int): (Double, Double) = {
-    val k = index(i, j)
-    if (k < 0) (0.0, Model.PriorVar) else (mu(k), tphi(k))
+    val p = schemaPosition(j)
+    if (hasRow(i)) (mu(i * m + p), tphi(i * m + p)) else (0.0, Model.PriorVar)
   }
 
   def catOf(i: Int, j: Int): Array[Double] = {
-    val k = index(i, j)
-    if (k < 0) uniform(positionOf(j)) else cat(k)
+    val p = schemaPosition(j)
+    if (hasRow(i)) cat(i * m + p) else uniform(p)
   }
 
   /** Variance `phi_u` of worker u. */
   def workerVariance(u: Int): Double = current.phi.getOrElse(u, 1.0)
 
   /** Answer variance `alpha_i * beta_j * phi` on cell (i, j) of a worker with variance `phi`. */
-  def answerVariance(phi: Double, i: Int, j: Int): Double = {
-    val p = positionOf(j)
-    (if (i >= 0 && i < numRows) alpha(i) else 1.0) * (if (p >= 0) beta(p) else 1.0) * phi
-  }
+  def answerVariance(phi: Double, i: Int, j: Int): Double =
+    (if (hasRow(i)) alpha(i) else 1.0) * beta(schemaPosition(j)) * phi
 
   /** Current point estimate of a cell (normalized space for continuous). */
   def estimateOf(i: Int, j: Int): Double =
@@ -119,18 +125,14 @@ trait AssignStrategy {
   def observe(u: Int, i: Int, j: Int, value: Double): Unit = {}
 }
 
-/** Mutable state shared by the simulation loop and the strategies. Each
-  * worker's answered cells are a boolean array in the snapshot's cell
+/** Mutable state shared by the simulation loop and the strategies, on the
+  * table of its snapshot (`snapshot.numRows` rows, `snapshot.columns`).
+  * Each worker's answered cells are a boolean array in the snapshot's cell
   * layout, so the open cells are one scan in row-then-`columns` order.
   */
-final class AssignState(
-    val numRows: Int,
-    val columns: Seq[ColumnSpec],
-    val snapshot: Snapshot,
-) {
-  require(snapshot.numRows == numRows && snapshot.columns == columns,
-    "the snapshot must cover the state's table")
-  private val colIds = columns.map(_.col).toArray
+final class AssignState(val snapshot: Snapshot) {
+  private val numRows = snapshot.numRows
+  private val colIds = snapshot.columns.map(_.col).toArray
   var corr: Option[CorrelationModel] = None
   private val answered = mutable.Map.empty[Int, Array[Boolean]]
   /** (worker,row) -> answered (col, rawValue) pairs, for §5.2 row context. */
@@ -141,7 +143,7 @@ final class AssignState(
     val k = snapshot.index(a.row, a.col)
     require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${numRows}-row table")
     log += a
-    answered.getOrElseUpdate(a.worker, new Array[Boolean](numRows * columns.size))(k) = true
+    answered.getOrElseUpdate(a.worker, new Array[Boolean](numRows * colIds.length))(k) = true
     rowAnswers.getOrElseUpdate((a.worker, a.row), mutable.Buffer.empty) += ((a.col, a.value))
   }
 
@@ -224,11 +226,12 @@ final class LoopingStrategy extends AssignStrategy {
   val name = "Looping"
   private var ptr = 0
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val m = st.columns.size
-    val total = st.numRows * m
+    val columns = st.snapshot.columns
+    val m = columns.size
+    val total = st.snapshot.numRows * m
     var tried = 0
     while (tried < total) {
-      val cell = (ptr / m, st.columns(ptr % m).col)
+      val cell = (ptr / m, columns(ptr % m).col)
       ptr = (ptr + 1) % total
       tried += 1
       if (!st.isAnswered(u, cell._1, cell._2)) return Some(cell)
@@ -295,10 +298,11 @@ sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
   protected def rescore(k: Int): Double
 
   protected def tally(st: AssignState): Unit = {
-    val (m, n) = (st.columns.size, st.numRows * st.columns.size)
+    val columns = st.snapshot.columns
+    val (m, n) = (columns.size, st.snapshot.numRows * columns.size)
     if (count == null) {
-      categorical = Array.tabulate(n)(k => catCols.contains(st.columns(k % m).col))
-      votes = Array.tabulate(n)(k => new Array[Int](st.columns(k % m).numLabels))
+      categorical = Array.tabulate(n)(k => catCols.contains(columns(k % m).col))
+      votes = Array.tabulate(n)(k => new Array[Int](columns(k % m).numLabels))
       count = new Array(n); sum = new Array(n); sumSq = new Array(n); score = new Array(n)
       colCount = new Array(m); colSum = new Array(m); colSumSq = new Array(m)
     }
@@ -379,42 +383,36 @@ final case class SimPoint(avgAnswersPerTask: Double, errorRate: Double, mnad: Do
 final case class SimRunConfig(
     maxAvgAnswers: Double = 4.0,
     checkpointEvery: Double = 0.5,
-    batchK: Int = 1,
     tcrowd: TCrowdConfig = TCrowdConfig(maxIters = 8, gdSteps = 3),
     /** metric inference at checkpoints; None = reuse the T-Crowd refresh */
     inference: Option[InferenceMethod] = None,
 )
 
 /** Online task-assignment simulation (paper §6.3 / §6.4.2): a worker pool
-  * arrives in sequence; the strategy picks the next cell(s); the simulator
+  * arrives in sequence; the strategy picks one cell per arrival; the simulator
   * draws the answer from the same worker model that generated the static
   * datasets; metrics are recorded at answers-per-task checkpoints.
   */
 object Assignment {
 
-  /** Inherent gain of assigning cell (i,j) to worker u (paper §5.1, Eq. 6).
-    * Cells the snapshot has not seen use the uniform / prior posterior, and
-    * unknown workers unit variance.
+  /** Inherent gain of assigning cell (i,j) to a worker with variance `phi`
+    * (paper §5.1, Eq. 6; `phi` is [[Snapshot.workerVariance]], which is 1 for
+    * an unknown worker). Cells the snapshot has not seen use the uniform /
+    * prior posterior.
     */
-  def inherentGain(snap: Snapshot, u: Int, i: Int, j: Int): Double =
-    inherentGain(snap, snap.workerVariance(u), i, j)
-
-  /** [[inherentGain]] of a worker with variance `phi`. */
-  private[core] def inherentGain(snap: Snapshot, phi: Double, i: Int, j: Int): Double = {
+  def inherentGain(snap: Snapshot, phi: Double, i: Int, j: Int): Double = {
     val v = snap.answerVariance(phi, i, j)
     if (snap.isCategorical(j)) InfoGain.categoricalGain(snap.catOf(i, j), quality(TCrowd.Eps, v))
     else InfoGain.continuousGain(snap.contOf(i, j)._2, v)
   }
 
-  /** §5.2: like inherentGain but with the worker's answer variance replaced
-    * by the error distribution predicted from their same-row answers.
+  /** §5.2: [[inherentGain]] with the answer variance of a worker with
+    * variance `phi` replaced by the error distribution that the correlation
+    * model predicts from `obs`, the worker's errors on row i
+    * ([[AssignState.workerErrorsOnRow]]).
     */
-  def structureAwareGain(st: AssignState, u: Int, i: Int, j: Int): Double =
-    structureAwareGain(st, st.snapshot.workerVariance(u), st.workerErrorsOnRow(u, i), i, j)
-
-  /** [[structureAwareGain]] of a worker with variance `phi` and errors `obs` on row i. */
-  private[core] def structureAwareGain(st: AssignState, phi: Double, obs: Seq[(Int, Double)],
-                                       i: Int, j: Int): Double = {
+  def structureAwareGain(st: AssignState, phi: Double, obs: Seq[(Int, Double)],
+                         i: Int, j: Int): Double = {
     val snap = st.snapshot
     val predicted = if (obs.isEmpty) None else st.corr.flatMap(_.predict(j, obs))
     predicted match {
@@ -429,27 +427,6 @@ object Assignment {
     }
   }
 
-  /** Greedy top-K batch selection (paper §5.3). */
-  def pickBatch(strategy: AssignStrategy, st: AssignState, u: Int, k: Int,
-                sim: CrowdSim): Seq[Answer] = {
-    val out = mutable.Buffer.empty[Answer]
-    var t = 0
-    var exhausted = false
-    while (t < k && !exhausted) {
-      strategy.pick(st, u) match {
-        case Some((i, j)) =>
-          val a = Answer(u, i, j, sim.answerFor(u, i, j))
-          st.record(a)
-          strategy.observe(u, i, j, a.value)
-          if (strategy.needsSnapshot) st.snapshot.applyAnswer(u, i, j, a.value)
-          out += a
-        case None => exhausted = true
-      }
-      t += 1
-    }
-    out.toSeq
-  }
-
   /** One online session of `strategy` on the simulated crowd `sim`. It runs
     * on the driver and issues no Spark job: each checkpoint builds the
     * [[AnswerTable]] of the answers so far and scores against
@@ -462,16 +439,19 @@ object Assignment {
     val truth = sim.allTruth
     val nCells = sim.cfg.numRows * columns.size
 
-    val st = new AssignState(sim.cfg.numRows, columns,
-      new Snapshot(emptyResult, sim.cfg.numRows, columns))
+    val st = new AssignState(new Snapshot(emptyResult, sim.cfg.numRows, columns))
+
+    // Worker u answers cell (i, j). Applying a seeding answer to the snapshot
+    // changes nothing: the first checkpoint's refresh resets every cell.
+    def answer(u: Int, i: Int, j: Int): Unit = {
+      val v = sim.answerFor(u, i, j)
+      st.record(Answer(u, i, j, v))
+      strategy.observe(u, i, j, v)
+      if (strategy.needsSnapshot) st.snapshot.applyAnswer(u, i, j, v)
+    }
 
     // Seed: one answer per cell from the row's first assigned worker.
-    for (i <- 0 until sim.cfg.numRows; c <- columns) {
-      val u = sim.workersFor(i).head
-      val a = Answer(u, i, c.col, sim.answerFor(u, i, c.col))
-      st.record(a)
-      strategy.observe(u, i, c.col, a.value)
-    }
+    for (i <- 0 until sim.cfg.numRows; c <- columns) answer(sim.workersFor(i).head, i, c.col)
 
     val points = mutable.Buffer.empty[SimPoint]
     def checkpoint(): Unit = {
@@ -493,15 +473,16 @@ object Assignment {
 
     checkpoint()
     var lastCheckpointSize = st.log.size
-    val rounds = math.ceil(cfg.maxAvgAnswers * nCells /
-      math.max(1, sim.cfg.numWorkers * cfg.batchK)).toInt + 4
+    val rounds = math.ceil(cfg.maxAvgAnswers * nCells / math.max(1, sim.cfg.numWorkers)).toInt + 4
     val arrivals = sim.arrivalSequence(rounds).iterator
     var nextCheckpoint = 1.0 + cfg.checkpointEvery
     var stalled = 0
     while (st.log.size.toDouble / nCells < cfg.maxAvgAnswers && arrivals.hasNext && stalled < 1000) {
       val u = arrivals.next()
-      val got = pickBatch(strategy, st, u, cfg.batchK, sim)
-      if (got.isEmpty) stalled += 1 else stalled = 0
+      strategy.pick(st, u) match {
+        case Some((i, j)) => answer(u, i, j); stalled = 0
+        case None         => stalled += 1
+      }
       if (st.log.size.toDouble / nCells >= nextCheckpoint) {
         checkpoint()
         lastCheckpointSize = st.log.size

@@ -30,12 +30,6 @@ object MathUtil {
   def clampProb(p: Double): Double = math.min(1.0 - 1e-9, math.max(1e-9, p))
 
   /** Shannon entropy (nats) of a discrete distribution; zero entries skipped. */
-  def shannonEntropy(probs: Iterable[Double]): Double =
-    -probs.filter(_ > 0).map(p => p * math.log(p)).sum
-
-  /** [[shannonEntropy]] of an array without boxing: the same terms summed in
-    * the same order, so the result is the same to the bit.
-    */
   def shannonEntropy(probs: Array[Double]): Double = {
     var s = 0.0
     var t = 0

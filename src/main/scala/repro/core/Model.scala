@@ -86,27 +86,22 @@ object Model {
     * columns of different scales (see DESIGN.md §6). Std is floored at 1e-9
     * so constant columns normalize to 0 rather than NaN. Each column's
     * values are copied into one `double[]` and summed in sorted order, so
-    * the stats do not depend on the order of `answers`. Answers on columns
-    * outside the schema or on categorical columns are ignored.
+    * the stats do not depend on the order of `answers`.
+    *
+    * @param col the position in `columns` of each answer's column ([[AnswerTable.col]])
     */
-  def continuousStats(columns: Seq[ColumnSpec], answers: Array[Answer]): Map[Int, (Double, Double)] = {
-    val position = columnPositions(columns)
+  private[core] def continuousStats(columns: Seq[ColumnSpec], answers: Array[Answer],
+                                    col: Array[Int]): Map[Int, (Double, Double)] = {
     val isCont = columns.map(_.isContinuous).toArray
-    val pos = new Array[Int](answers.length) // answer k's continuous column position, or -1
     val count = new Array[Int](isCont.length)
     var k = 0
-    while (k < answers.length) {
-      val p = position(answers(k).col)
-      pos(k) = if (p >= 0 && isCont(p)) p else -1
-      if (pos(k) >= 0) count(pos(k)) += 1
-      k += 1
-    }
+    while (k < answers.length) { if (isCont(col(k))) count(col(k)) += 1; k += 1 }
     val values = count.map(n => new Array[Double](n))
     java.util.Arrays.fill(count, 0)
     k = 0
     while (k < answers.length) {
-      val p = pos(k)
-      if (p >= 0) { values(p)(count(p)) = answers(k).value; count(p) += 1 }
+      val p = col(k)
+      if (isCont(p)) { values(p)(count(p)) = answers(k).value; count(p) += 1 }
       k += 1
     }
     columns.indices.filter(values(_).nonEmpty).map { p =>
@@ -119,14 +114,22 @@ object Model {
     }.toMap
   }
 
-  /** The position in `columns` of a column id, or -1 for an id outside the
-    * schema; a repeated id maps to its last position, as in a `Map` built
-    * from the schema.
+  /** The one map from column id to position in `columns`, read by
+    * [[AnswerTable.colPos]] and [[Snapshot]]: a dense array over the ids
+    * `0..max id`, looked up as a function that gives -1 for an id outside
+    * the schema.
+    *
+    * @throws IllegalArgumentException naming the id, for a negative or a
+    *         repeated column id
     */
   private[core] def columnPositions(columns: Seq[ColumnSpec]): Int => Int = {
-    val ids = columns.map(_.col).sorted.distinct.toArray
-    val pos = ids.map(j => columns.lastIndexWhere(_.col == j))
-    j => { val s = java.util.Arrays.binarySearch(ids, j); if (s < 0) -1 else pos(s) }
+    val pos = Array.fill(columns.map(_.col + 1).maxOption.getOrElse(0))(-1)
+    for ((c, p) <- columns.zipWithIndex) {
+      require(c.col >= 0, s"column id ${c.col} is negative")
+      require(pos(c.col) < 0, s"column id ${c.col} is repeated in the schema")
+      pos(c.col) = p
+    }
+    j => if (j >= 0 && j < pos.length) pos(j) else -1
   }
 
   /** z-normalize value `v` of column `c` with per-column (mean, std) stats;

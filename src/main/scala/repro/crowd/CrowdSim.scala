@@ -1,6 +1,6 @@
 package repro.crowd
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.core._
 import scala.util.Random

@@ -38,8 +38,9 @@ class AssignmentKernelSpec extends CrowdSpec {
 
     private def sync(st: AssignState): Unit = {
       if (ref == null) {
-        val labelCount = st.columns.map(c => c.col -> c.numLabels).toMap
-        ref = new MapState(st.numRows, st.columns, new MapSnapshot(st.snapshot.res, labelCount))
+        val snap = st.snapshot
+        ref = new MapState(snap.numRows, snap.columns,
+          new MapSnapshot(snap.res, snap.columns.map(c => c.col -> c.numLabels).toMap))
         st.log.foreach(ref.record)
       } else {
         st.log.drop(seen).foreach { a =>
@@ -52,12 +53,14 @@ class AssignmentKernelSpec extends CrowdSpec {
       ref.corr = st.corr
     }
 
-    private def score(st: AssignState, u: Int, i: Int, j: Int): Double = name match {
-      case "Entropy" =>
-        val s = st.snapshot
-        InfoGain.uniformEntropy(s.isCategorical(j), s.catOf(i, j), s.contOf(i, j)._2)
-      case "Inherent IG" => Assignment.inherentGain(st.snapshot, u, i, j)
-      case "Struct IG"   => Assignment.structureAwareGain(st, u, i, j)
+    private def score(st: AssignState, u: Int, i: Int, j: Int): Double = {
+      val s = st.snapshot
+      name match {
+        case "Entropy"     => InfoGain.uniformEntropy(s.isCategorical(j), s.catOf(i, j), s.contOf(i, j)._2)
+        case "Inherent IG" => Assignment.inherentGain(s, s.workerVariance(u), i, j)
+        case "Struct IG"   =>
+          Assignment.structureAwareGain(st, s.workerVariance(u), st.workerErrorsOnRow(u, i), i, j)
+      }
     }
 
     def pick(st: AssignState, u: Int): Option[(Int, Int)] = {

@@ -12,6 +12,10 @@ import scala.collection.mutable
   */
 object AssignmentReference {
 
+  /** Shannon entropy (nats) over a boxed `Iterable`; zero entries skipped. */
+  def shannonEntropy(probs: Iterable[Double]): Double =
+    -probs.filter(_ > 0).map(p => p * math.log(p)).sum
+
   /** The gain of a categorical cell as a sum over freshly built answer
     * posteriors, each entropy taken over a boxed `Iterable`.
     */
@@ -20,13 +24,13 @@ object AssignmentReference {
     if (l < 2) return 0.0
     val qc = clampProb(q)
     val wrong = (1.0 - qc) / (l - 1)
-    val h0 = shannonEntropy(probs: Iterable[Double])
+    val h0 = shannonEntropy(probs)
     var expected = 0.0
     var z = 0
     while (z < l) {
       val pa = probs(z) * qc + (1.0 - probs(z)) * wrong
       if (pa > 1e-15)
-        expected += pa * shannonEntropy(InfoGain.answerPosterior(probs, qc, z): Iterable[Double])
+        expected += pa * shannonEntropy(InfoGain.answerPosterior(probs, qc, z))
       z += 1
     }
     h0 - expected

@@ -21,7 +21,13 @@ class AssignmentSpec extends CrowdSpec {
     iterations = 1, converged = true)
 
   private def mkState(res: TCrowdResult = mkResult()): AssignState =
-    new AssignState(2, columns, new Snapshot(res, 2, columns))
+    new AssignState(new Snapshot(res, 2, columns))
+
+  /** The gains of one pick of worker u, as the IG strategies score a cell. */
+  private def inherentGain(st: AssignState, u: Int, i: Int, j: Int): Double =
+    Assignment.inherentGain(st.snapshot, st.snapshot.workerVariance(u), i, j)
+  private def structureAwareGain(st: AssignState, u: Int, i: Int, j: Int): Double =
+    Assignment.structureAwareGain(st, st.snapshot.workerVariance(u), st.workerErrorsOnRow(u, i), i, j)
 
   // ----------------------------------------------------------------- Snapshot
 
@@ -29,6 +35,23 @@ class AssignmentSpec extends CrowdSpec {
     val snap = mkState().snapshot
     assert(snap.contOf(9, 1) == (0.0, 4.0))
     assert(snap.catOf(9, 0).toSeq == Seq(1.0 / 3, 1.0 / 3, 1.0 / 3))
+  }
+
+  test("Snapshot reads of a column outside the schema are rejected, naming the column") {
+    val st = mkState()
+    val snap = st.snapshot
+    val reads = Seq[(String, () => Any)](
+      "catOf" -> (() => snap.catOf(0, 99)), "contOf" -> (() => snap.contOf(0, 99)),
+      "isCategorical" -> (() => snap.isCategorical(99)),
+      "answerVariance" -> (() => snap.answerVariance(1.0, 0, 99)),
+      "inherentGain" -> (() => inherentGain(st, 0, 0, 99)),
+      "catOf on a row outside the table" -> (() => snap.catOf(9, 99)))
+    for ((name, read) <- reads) {
+      val e = intercept[IllegalArgumentException](read())
+      assert(e.getMessage == "column 99 is not in the schema", s"$name: ${e.getMessage}")
+    }
+    // a row outside the table keeps its prior
+    assert(snap.answerVariance(2.0, 9, 1) == 2.0)
   }
 
   test("Snapshot.applyAnswer tightens a continuous posterior") {
@@ -130,22 +153,19 @@ class AssignmentSpec extends CrowdSpec {
 
   test("inherentGain is near zero on near-certain cells") {
     val st = mkState()
-    assert(Assignment.inherentGain(st.snapshot, 0, 1, 0) <
-           Assignment.inherentGain(st.snapshot, 0, 0, 0))
-    assert(Assignment.inherentGain(st.snapshot, 0, 1, 1) <
-           Assignment.inherentGain(st.snapshot, 0, 0, 1))
+    assert(inherentGain(st, 0, 1, 0) < inherentGain(st, 0, 0, 0))
+    assert(inherentGain(st, 0, 1, 1) < inherentGain(st, 0, 0, 1))
   }
 
   test("inherentGain is larger for the better worker") {
     val st = mkState()
-    assert(Assignment.inherentGain(st.snapshot, 0, 0, 0) >
-           Assignment.inherentGain(st.snapshot, 1, 0, 0))
+    assert(inherentGain(st, 0, 0, 0) > inherentGain(st, 1, 0, 0))
   }
 
   test("structureAwareGain falls back to inherent gain without a model") {
     val st = mkState()
-    val a = Assignment.structureAwareGain(st, 0, 0, 0)
-    val b = Assignment.inherentGain(st.snapshot, 0, 0, 0)
+    val a = structureAwareGain(st, 0, 0, 0)
+    val b = inherentGain(st, 0, 0, 0)
     assert(math.abs(a - b) < 1e-12)
   }
 
@@ -168,23 +188,12 @@ class AssignmentSpec extends CrowdSpec {
     ))
     st.corr = Some(model2)
     st.record(Answer(7, 0, 1, 2.0)) // big continuous error on row 0
-    val gStruct = Assignment.structureAwareGain(st, 7, 0, 0)
+    val gStruct = structureAwareGain(st, 7, 0, 0)
     st.corr = None
-    val gInherent = Assignment.inherentGain(st.snapshot, 7, 0, 0)
+    val gInherent = inherentGain(st, 7, 0, 0)
     info(f"struct=$gStruct%.4f inherent=$gInherent%.4f")
     // the worker now looks worse on this row, so expected gain drops
     assert(gStruct < gInherent)
-  }
-
-  test("pickBatch selects up to K distinct cells and records them") {
-    val sim = new CrowdSim(SimConfig("pb", 2,
-      Seq(SimColumn("c", numLabels = 3), SimColumn("x", 0, 0, 10)),
-      numWorkers = 3, answersPerTask = 1, seed = 5L))
-    val st = mkState()
-    val got = Assignment.pickBatch(new RandomStrategy(2), st, 0, 3, sim)
-    assert(got.size == 3)
-    assert(got.map(a => (a.row, a.col)).distinct.size == 3)
-    assert(st.log.size == 3)
   }
 
   // ------------------------------------------------------ self-contained strategies

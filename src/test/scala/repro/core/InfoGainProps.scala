@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties, Test}
 import org.scalacheck.Prop.propBoolean
+import repro.core.AssignmentReference.{shannonEntropy => boxedEntropy}
 import repro.core.MathUtil.shannonEntropy
 
 /** The allocation-free categorical gain against the formula it replaced
@@ -37,8 +38,8 @@ object InfoGainProps extends Properties("InfoGain") {
       val want = AssignmentReference.categoricalGain(probs, q)
       val posterior = InfoGain.answerPosterior(probs, q, 0)
       (bits(gain) == bits(want)) :| s"gain $gain, reference $want" &&
-        (bits(shannonEntropy(probs)) == bits(shannonEntropy(probs: Iterable[Double]))) :| "entropy" &&
-        (bits(shannonEntropy(posterior)) == bits(shannonEntropy(posterior: Iterable[Double]))) :|
+        (bits(shannonEntropy(probs)) == bits(boxedEntropy(probs))) :| "entropy" &&
+        (bits(shannonEntropy(posterior)) == bits(boxedEntropy(posterior))) :|
           "posterior entropy"
     }
 }

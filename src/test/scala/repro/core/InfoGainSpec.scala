@@ -67,7 +67,7 @@ class InfoGainSpec extends AnyFunSuite {
       val probs = raw.map(_ / raw.sum)
       val q = clampProb(0.05 + r.nextDouble() * 0.9)
       val wrong = (1 - q) / (l - 1)
-      val predictive = (0 until l).map(z => probs(z) * q + (1 - probs(z)) * wrong)
+      val predictive = Array.tabulate(l)(z => probs(z) * q + (1 - probs(z)) * wrong)
       val hA = shannonEntropy(predictive)
       val hAgivenT = -(q * math.log(q) + (1 - q) * math.log(wrong)) // same for every t
       val mi = hA - hAgivenT
@@ -123,7 +123,10 @@ class InfoGainSpec extends AnyFunSuite {
     iterations = 1, converged = true), numRows = 1,
     columns = Seq(ColumnSpec(0, "c", 2), ColumnSpec(1, "x", 0)))
 
-  private def g(u: Int, i: Int, j: Int): Double = Assignment.inherentGain(fakeSnapshot, u, i, j)
+  private def g(u: Int, i: Int, j: Int): Double = {
+    val snap = fakeSnapshot
+    Assignment.inherentGain(snap, snap.workerVariance(u), i, j)
+  }
 
   test("inherentGain: better worker yields larger gain on both datatypes") {
     assert(g(7, 0, 0) > g(8, 0, 0)) // categorical cell

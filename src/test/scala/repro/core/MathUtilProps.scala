@@ -31,7 +31,7 @@ object MathUtilProps extends Properties("MathUtil") {
 
   property("shannon entropy nonnegative") =
     Prop.forAll(Gen.listOfN(5, Gen.choose(1e-6, 1.0))) { raw =>
-      val p = raw.map(_ / raw.sum)
+      val p = raw.map(_ / raw.sum).toArray
       shannonEntropy(p) >= 0
     }
 

@@ -52,19 +52,19 @@ class MathUtilSpec extends AnyFunSuite {
 
   test("shannonEntropy of uniform distribution is ln(n)") {
     for (n <- 2 to 10) {
-      val h = shannonEntropy(Seq.fill(n)(1.0 / n))
+      val h = shannonEntropy(Array.fill(n)(1.0 / n))
       assert(math.abs(h - math.log(n)) < 1e-9, s"n=$n")
     }
   }
 
   test("shannonEntropy of a point mass is 0") {
-    assert(shannonEntropy(Seq(1.0, 0.0, 0.0)) == 0.0)
+    assert(shannonEntropy(Array(1.0, 0.0, 0.0)) == 0.0)
   }
 
   test("shannonEntropy is maximized by uniform") {
     val r = new Random(5)
     for (_ <- 1 to 100) {
-      val raw = Seq.fill(4)(0.01 + r.nextDouble())
+      val raw = Array.fill(4)(0.01 + r.nextDouble())
       val p = raw.map(_ / raw.sum)
       assert(shannonEntropy(p) <= math.log(4) + 1e-9)
     }

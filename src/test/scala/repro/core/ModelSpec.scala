@@ -107,6 +107,17 @@ class ModelSpec extends CrowdSpec {
     assert(Model.answerTable(ds.columns, Seq(Answer(1, 0, 1, 14.0), Answer(2, 0, 1, 14.0))).size == 2)
   }
 
+  test("a schema with a repeated or negative column id is rejected, naming the id") {
+    val cat = ColumnSpec(0, "cat", 3)
+    for ((cols, msg) <- Seq(
+           Seq(cat, ColumnSpec(1, "a", 0), ColumnSpec(1, "b", 0)) -> "column id 1 is repeated in the schema",
+           Seq(cat, ColumnSpec(-2, "x", 0)) -> "column id -2 is negative")) {
+      val fromTable = intercept[IllegalArgumentException](Model.answerTable(cols, Seq(Answer(0, 0, 0, 1.0))))
+      val fromSnapshot = intercept[IllegalArgumentException](new Snapshot(Assignment.emptyResult, 2, cols))
+      for (e <- Seq(fromTable, fromSnapshot)) assert(e.getMessage.contains(msg), e.getMessage)
+    }
+  }
+
   test("an answer relation that is not (worker, row, col: int, value: double) is rejected, naming the field") {
     val ds = tinyDs
     import org.apache.spark.sql.functions.col

@@ -161,12 +161,11 @@ object TCrowdSparkReference {
       stats, iter, converged)
   }
 
-  /** The answer relation with continuous values z-normalized by
-    * [[Model.continuousStats]] and an `isCat` flag, and the stats.
+  /** The answer relation with continuous values z-normalized by the stats
+    * of its answer table ([[AnswerTable.stats]]) and an `isCat` flag, and the stats.
     */
   private def normalized(ds: CrowdDataset): (DataFrame, Map[Int, (Double, Double)]) = {
-    val stats  = Model.continuousStats(ds.columns,
-      ds.answers.collect().map(r => Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))))
+    val stats  = ds.table.stats
     val catSet = ds.labelCount.filter(_._2 > 0).keySet
     val normUdf = udf((c: Int, v: Double) => Model.normalize(stats, c, v))
     val df = ds.answers.select(
