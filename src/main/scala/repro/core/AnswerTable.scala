@@ -145,6 +145,16 @@ final class AnswerTable private[core] (val columns: Seq[ColumnSpec], val answers
     new AnswerTable(cols, answers.filter(a => kept(a.col)))
   }
 
+  /** `x(k)` of every answer k, in a primitive array (`Array.tabulate` would
+    * box each value).
+    */
+  def perAnswer(x: Int => Double): Array[Double] = {
+    val a = new Array[Double](size)
+    var k = 0
+    while (k < size) { a(k) = x(k); k += 1 }
+    a
+  }
+
   /** Mean of `x` over the answers `ks`, per key: `key` maps an answer to one
     * of `n` dense ids (worker, row, col or cell). A key with no answer in
     * `ks` gets 0.

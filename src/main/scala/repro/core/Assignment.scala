@@ -22,6 +22,11 @@ import scala.util.Random
   * or column without a difficulty has 1, a worker without a variance 1. A
   * read of a column outside the schema throws an
   * `IllegalArgumentException` naming the column.
+  *
+  * Each cell's posterior carries a [[stamp]]: `refresh` starts a new epoch
+  * (it may change every posterior, alpha, beta and phi) and `applyAnswer`
+  * bumps the version of the one cell it updates, so a gain computed at a
+  * stamp stays valid while the stamp is unchanged ([[AssignState.bestGainCell]]).
   */
 final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[ColumnSpec]) {
   private val m = columns.size
@@ -33,6 +38,8 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
   private val cat   = new Array[Array[Double]](numRows * m)
   private val alpha = new Array[Double](numRows)
   private val beta  = new Array[Double](m)
+  private val version = new Array[Int](numRows * m)
+  private var epoch = 0
   private var current: TCrowdResult = _
   refresh(initial)
 
@@ -40,6 +47,7 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
 
   def refresh(r: TCrowdResult): Unit = {
     current = r
+    epoch += 1
     for (i <- 0 until numRows; p <- 0 until m) {
       val k = i * m + p
       mu(k) = 0.0; tphi(k) = Model.PriorVar; cat(k) = uniform(p)
@@ -68,6 +76,12 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
 
   private def hasRow(i: Int): Boolean = i >= 0 && i < numRows
 
+  /** The epoch of the last refresh and the version of cell k (an [[index]])
+    * in it, as one number; it changes whenever cell k's posterior or any
+    * refreshed parameter may have.
+    */
+  private[core] def stamp(k: Int): Long = (epoch.toLong << 32) | (version(k) & 0xffffffffL)
+
   def isCategorical(j: Int): Boolean = labels(schemaPosition(j)) > 0
 
   def contOf(i: Int, j: Int): (Double, Double) = {
@@ -95,13 +109,20 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
   /** Normalize a raw continuous answer with the snapshot's column stats. */
   def normalize(j: Int, v: Double): Double = Model.normalize(current.contStats, j, v)
 
-  /** Local Bayesian update of cell (i,j)'s posterior with a new raw answer. */
+  /** Local Bayesian update of cell (i,j)'s posterior with a new raw answer.
+    *
+    * @throws IllegalArgumentException naming the cell, for a cell outside
+    *         the table or a categorical answer that is not a [[Model.label]]
+    */
   def applyAnswer(u: Int, i: Int, j: Int, raw: Double): Unit = {
     val k = index(i, j)
     require(k >= 0, s"cell ($i, $j) is outside the ${numRows}-row table")
+    val l = labels(k % m)
+    val label = if (l > 0) Model.label(i, j, raw, l) else -1
     val v = answerVariance(workerVariance(u), i, j)
-    if (isCategorical(j)) {
-      cat(k) = InfoGain.answerPosterior(cat(k), quality(TCrowd.Eps, v), raw.toInt)
+    version(k) += 1
+    if (l > 0) {
+      cat(k) = InfoGain.answerPosterior(cat(k), quality(TCrowd.Eps, v), label)
     } else {
       val w = 1.0 / math.max(v, 1e-9)
       val nphi = 1.0 / (1.0 / tphi(k) + w)
@@ -128,22 +149,38 @@ trait AssignStrategy {
 /** Mutable state shared by the simulation loop and the strategies, on the
   * table of its snapshot (`snapshot.numRows` rows, `snapshot.columns`).
   * Each worker's answered cells are a boolean array in the snapshot's cell
-  * layout, so the open cells are one scan in row-then-`columns` order.
+  * layout, so the open cells are one scan in row-then-`columns` order, and
+  * so are the worker's memoized gains ([[bestGainCell]]).
   */
 final class AssignState(val snapshot: Snapshot) {
   private val numRows = snapshot.numRows
   private val colIds = snapshot.columns.map(_.col).toArray
+  private val numCells = numRows * colIds.length
+  /** Label count of the column at each position; 0 if continuous. */
+  private val numLabels = snapshot.columns.map(_.numLabels).toArray
+  /** Scratch list of the bounded categorical cells of one [[bestGainCell]]. */
+  private val stale = new Array[Int](numCells)
   var corr: Option[CorrelationModel] = None
   private val answered = mutable.Map.empty[Int, Array[Boolean]]
+  private val memo = mutable.Map.empty[Int, AssignState.GainMemo]
   /** (worker,row) -> answered (col, rawValue) pairs, for §5.2 row context. */
   val rowAnswers: mutable.Map[(Int, Int), mutable.Buffer[(Int, Double)]] = mutable.Map.empty
   val log: mutable.Buffer[Answer] = mutable.Buffer.empty
 
+  /** Appends an answer to the session.
+    *
+    * @throws IllegalArgumentException naming the cell, for a cell outside
+    *         the table, a categorical answer that is not a [[Model.label]]
+    *         or a continuous answer that is not finite
+    */
   def record(a: Answer): Unit = {
     val k = snapshot.index(a.row, a.col)
     require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${numRows}-row table")
+    val l = numLabels(k % colIds.length)
+    if (l > 0) Model.label(a.row, a.col, a.value, l)
+    else require(java.lang.Double.isFinite(a.value), s"answer ${a.value} on cell (${a.row}, ${a.col}) is not a finite number")
     log += a
-    answered.getOrElseUpdate(a.worker, new Array[Boolean](numRows * colIds.length))(k) = true
+    answered.getOrElseUpdate(a.worker, new Array[Boolean](numCells))(k) = true
     rowAnswers.getOrElseUpdate((a.worker, a.row), mutable.Buffer.empty) += ((a.col, a.value))
   }
 
@@ -151,6 +188,23 @@ final class AssignState(val snapshot: Snapshot) {
     val k = snapshot.index(i, j)
     k >= 0 && answered.get(u).exists(_(k))
   }
+
+  /** The memoized gains of worker u whose stamp is current: each cell with
+    * the gain a pick would read without computing it again.
+    */
+  private[core] def memoizedGains(u: Int): Seq[((Int, Int), Double)] = memoized(u, exact = true)
+
+  /** The memoized bounds ([[Assignment.inherentGainBound]]) of worker u
+    * whose stamp is current: each cell with the bound a pick would read.
+    */
+  private[core] def memoizedBounds(u: Int): Seq[((Int, Int), Double)] = memoized(u, exact = false)
+
+  private def memoized(u: Int, exact: Boolean): Seq[((Int, Int), Double)] =
+    memo.get(u).fold(Seq.empty[((Int, Int), Double)]) { g =>
+      val m = colIds.length
+      (0 until numCells).filter(k => g.stamp(k) == snapshot.stamp(k) && g.exact(k) == exact)
+        .map(k => ((k / m, colIds(k % m)), g.value(k)))
+    }
 
   /** Calls `visit(i, j)` for each cell worker u has not answered, row by
     * row and within a row in `columns` order.
@@ -196,6 +250,81 @@ final class AssignState(val snapshot: Snapshot) {
     if (bestRow < 0) None else Some((bestRow, bestCol))
   }
 
+  /** The open cell of worker u with the greatest gain, chosen as
+    * [[bestOpenCell]] chooses. On a row where u has answered a cell and
+    * has an open one, `rowPrediction(i)` is called once and gives, for each
+    * column j, the §5.2 error distribution predicted for u on (i, j), if
+    * any; such a cell scores [[Assignment.predictedGain]]. Every other cell scores u's
+    * [[Assignment.inherentGain]], read from u's memo: the gain last
+    * computed on the cell, recomputed only when the cell's
+    * [[Snapshot.stamp]] has changed since. Within a stamp the gain's inputs
+    * (phi_u, alpha_i, beta_j and the cell's posterior) are fixed, so a
+    * memoized gain is the one a fresh computation gives, to the bit.
+    *
+    * A categorical cell without a current gain is bounded first: its
+    * [[Assignment.inherentGainBound]] (memoized the same way) plus `Slack`
+    * is at least its gain, so a cell whose bound falls below the best score
+    * so far cannot be picked, and its gain is not computed. The cells the
+    * bound does not rule out are scored after the scan, in scan order,
+    * against the best score of every other cell.
+    */
+  def bestGainCell(u: Int)(rowPrediction: Int => Int => Option[CondDist]): Option[(Int, Int)] = {
+    val done = answered.getOrElse(u, null)
+    val g = memo.getOrElseUpdate(u, new AssignState.GainMemo(numCells))
+    val (value, exact, stamp) = (g.value, g.exact, g.stamp)
+    val phi = snapshot.workerVariance(u)
+    val slack = AssignState.Slack
+    val m = colIds.length
+    var best = -1
+    var bestScore = 0.0
+    var deferred = 0
+    var i = 0
+    while (i < numRows) {
+      val row = i * m
+      var answeredHere, openHere = false
+      var p = 0
+      while (p < m) {
+        if (done != null && done(row + p)) answeredHere = true else openHere = true
+        p += 1
+      }
+      val predict = if (answeredHere && openHere) rowPrediction(i) else null
+      p = 0
+      while (p < m) {
+        val k = row + p
+        if (done == null || !done(k)) {
+          val j = colIds(p)
+          val d = if (predict == null) None else predict(j)
+          val now = snapshot.stamp(k)
+          val current = stamp(k) == now
+          if (d.isEmpty && numLabels(p) > 0 && !(current && exact(k))) {
+            val bound =
+              if (current) value(k)
+              else g.set(k, now, Assignment.inherentGainBound(snapshot, phi, i, j), exact = false)
+            if (best < 0 || !(bound + slack < bestScore)) { stale(deferred) = k; deferred += 1 }
+          } else {
+            val s =
+              if (d.isDefined) Assignment.predictedGain(snapshot, d.get, i, j)
+              else if (current) value(k)
+              else g.set(k, now, Assignment.inherentGain(snapshot, phi, i, j), exact = true)
+            if (AssignState.beats(s, k, bestScore, best)) { best = k; bestScore = s }
+          }
+        }
+        p += 1
+      }
+      i += 1
+    }
+    var t = 0
+    while (t < deferred) {
+      val k = stale(t)
+      if (best < 0 || !(value(k) + slack < bestScore)) {
+        val s = g.set(k, snapshot.stamp(k), Assignment.inherentGain(snapshot, phi, k / m, colIds(k % m)), exact = true)
+        if (AssignState.beats(s, k, bestScore, best)) { best = k; bestScore = s }
+      }
+      t += 1
+    }
+    if (best < 0) None else Some((best / m, colIds(best % m)))
+  }
+
   /** Worker u's observed errors on row i vs the current snapshot estimates
     * (0/1 for categorical, normalized signed difference for continuous), in
     * the order u answered them.
@@ -209,6 +338,39 @@ final class AssignState(val snapshot: Snapshot) {
         j -> (snapshot.normalize(j, raw) - snapshot.contOf(i, j)._1)
       }
     })
+}
+
+object AssignState {
+  /** Headroom of the bound in [[AssignState.bestGainCell]] over the
+    * rounding of a computed gain ([[InfoGain.mutualInformation]]).
+    */
+  private val Slack = 1e-9
+
+  /** One worker's memo over the cells of a [[Snapshot]]: the last value
+    * computed on each cell, whether it is the gain or only its bound, and
+    * the cell's stamp then (-1: none yet).
+    */
+  private final class GainMemo(n: Int) {
+    val value = new Array[Double](n)
+    val exact = new Array[Boolean](n)
+    val stamp: Array[Long] = Array.fill(n)(-1L)
+
+    /** Records v as cell k's gain (or bound) at stamp `now`; returns v. */
+    def set(k: Int, now: Long, v: Double, exact: Boolean): Double = {
+      value(k) = v; this.exact(k) = exact; stamp(k) = now
+      v
+    }
+  }
+
+  /** Whether cell k with score s replaces the best cell so far: it scores
+    * greater under `java.lang.Double.compare`, or the same and comes first
+    * in scan order; none so far if `best < 0`.
+    */
+  private def beats(s: Double, k: Int, bestScore: Double, best: Int): Boolean =
+    best < 0 || {
+      val c = java.lang.Double.compare(s, bestScore)
+      c > 0 || (c == 0 && k < best)
+    }
 }
 
 /** Uniform-random assignment (the CRH/CATD/CrowdDB setting in the paper). */
@@ -256,26 +418,24 @@ final class EntropyStrategy extends AssignStrategy {
 final class InherentGainStrategy extends AssignStrategy {
   val name = "Inherent IG"
   override val needsSnapshot = true
-  def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val snap = st.snapshot
-    val phi = snap.workerVariance(u)
-    st.bestOpenCell(u)(i => j => Assignment.inherentGain(snap, phi, i, j))
-  }
+  def pick(st: AssignState, u: Int): Option[(Int, Int)] = st.bestGainCell(u)(Assignment.noPrediction)
 }
 
 /** Structure-aware information gain (paper §5.2): the worker's expected
   * error on a candidate cell is conditioned on their observed errors in the
-  * same row through the correlation model.
+  * same row through the correlation model. A cell without a prediction (no
+  * model, no answer of the worker on the row, or no co-observed attribute)
+  * scores its inherent gain ([[AssignState.bestGainCell]]).
   */
 final class StructGainStrategy extends AssignStrategy {
   val name = "Struct IG"
   override val needsSnapshot = true
   override val needsCorrelation = true
-  def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-    val phi = st.snapshot.workerVariance(u)
-    st.bestOpenCell(u) { i =>
-      val obs = if (st.corr.isEmpty) Nil else st.workerErrorsOnRow(u, i)
-      j => Assignment.structureAwareGain(st, phi, obs, i, j)
+  def pick(st: AssignState, u: Int): Option[(Int, Int)] = st.corr match {
+    case None        => st.bestGainCell(u)(Assignment.noPrediction)
+    case Some(model) => st.bestGainCell(u) { i =>
+      val obs = st.workerErrorsOnRow(u, i)
+      j => model.predict(j, obs)
     }
   }
 }
@@ -406,6 +566,12 @@ object Assignment {
     else InfoGain.continuousGain(snap.contOf(i, j)._2, v)
   }
 
+  /** [[inherentGain]] of categorical cell (i, j) in the closed form
+    * [[InfoGain.mutualInformation]]: equal to it up to rounding, and cheaper.
+    */
+  private[core] def inherentGainBound(snap: Snapshot, phi: Double, i: Int, j: Int): Double =
+    InfoGain.mutualInformation(snap.catOf(i, j), quality(TCrowd.Eps, snap.answerVariance(phi, i, j)))
+
   /** §5.2: [[inherentGain]] with the answer variance of a worker with
     * variance `phi` replaced by the error distribution that the correlation
     * model predicts from `obs`, the worker's errors on row i
@@ -413,19 +579,26 @@ object Assignment {
     */
   def structureAwareGain(st: AssignState, phi: Double, obs: Seq[(Int, Double)],
                          i: Int, j: Int): Double = {
-    val snap = st.snapshot
     val predicted = if (obs.isEmpty) None else st.corr.flatMap(_.predict(j, obs))
     predicted match {
-      case None => inherentGain(snap, phi, i, j)
-      case Some(d) =>
-        if (snap.isCategorical(j))
-          InfoGain.categoricalGain(snap.catOf(i, j), clampProb(1.0 - d.mean))
-        else
-          // effective answer variance = second moment of the predicted error
-          InfoGain.continuousGain(snap.contOf(i, j)._2,
-            math.max(d.variance + d.mean * d.mean, 1e-6))
+      case None    => inherentGain(st.snapshot, phi, i, j)
+      case Some(d) => predictedGain(st.snapshot, d, i, j)
     }
   }
+
+  /** No §5.2 prediction on any row: [[AssignState.bestGainCell]] by inherent gain. */
+  private[core] val noPrediction: Int => Int => Option[CondDist] = _ => _ => None
+
+  /** The gain of cell (i, j) for a worker whose error on it the correlation
+    * model predicts to follow `d` ([[structureAwareGain]]).
+    */
+  def predictedGain(snap: Snapshot, d: CondDist, i: Int, j: Int): Double =
+    if (snap.isCategorical(j))
+      InfoGain.categoricalGain(snap.catOf(i, j), clampProb(1.0 - d.mean))
+    else
+      // effective answer variance = second moment of the predicted error
+      InfoGain.continuousGain(snap.contOf(i, j)._2,
+        math.max(d.variance + d.mean * d.mean, 1e-6))
 
   /** One online session of `strategy` on the simulated crowd `sim`. It runs
     * on the driver and issues no Spark job: each checkpoint builds the
@@ -451,7 +624,10 @@ object Assignment {
     }
 
     // Seed: one answer per cell from the row's first assigned worker.
-    for (i <- 0 until sim.cfg.numRows; c <- columns) answer(sim.workersFor(i).head, i, c.col)
+    for (i <- 0 until sim.cfg.numRows) {
+      val u = sim.workersFor(i).head
+      columns.foreach(c => answer(u, i, c.col))
+    }
 
     val points = mutable.Buffer.empty[SimPoint]
     def checkpoint(): Unit = {

@@ -110,7 +110,7 @@ private final class Em(t: AnswerTable) {
     * posterior probability of the answered label.
     */
   private def sufficientStats(): Array[Double] =
-    Array.tabulate(t.size) { k =>
+    t.perAnswer { k =>
       val c = cell(k)
       if (labels(k) > 0) post(c)(value(k).toInt)
       else { val d = value(k) - mu(c); d * d + tphi(c) }
@@ -123,7 +123,7 @@ private final class Em(t: AnswerTable) {
     * answers has gradient 0.
     */
   private def gradientStep(s: Array[Double]): Double = {
-    val g = Array.tabulate(t.size) { k =>
+    val g = t.perAnswer { k =>
       val sVar = math.exp(lnS(k))
       if (labels(k) > 0) {
         val x  = Eps / math.sqrt(2.0 * sVar)
@@ -134,12 +134,16 @@ private final class Em(t: AnswerTable) {
     }
     def upd(ln: Array[Double], key: Array[Int], lo: Double, hi: Double): Double = {
       val mean = t.meanPer(all, key, ln.length)(g(_))
-      ln.indices.foldLeft(0.0) { (maxDelta, i) =>
+      var maxDelta = 0.0
+      var i = 0
+      while (i < ln.length) {
         val nv = math.min(hi, math.max(lo, ln(i) + Lr * mean(i)))
         val delta = math.abs(nv - ln(i))
         ln(i) = nv
-        math.max(maxDelta, delta)
+        maxDelta = math.max(maxDelta, delta)
+        i += 1
       }
+      maxDelta
     }
     math.max(upd(lnPhi, worker, -8.0, 3.0),
       math.max(upd(lnAlpha, row, -2.5, 2.5), upd(lnBeta, col, -2.5, 2.5)))

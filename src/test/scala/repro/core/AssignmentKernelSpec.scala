@@ -96,6 +96,70 @@ class AssignmentKernelSpec extends CrowdSpec {
     }
   }
 
+  /** Delegates to `inner` and, before and after each of its picks, compares
+    * every memoized gain of the picking worker whose stamp is current with a
+    * fresh [[Assignment.inherentGain]], bit for bit, and every memoized bound
+    * with it to 1e-12. At the first pick after a refresh it compares the
+    * session's correlation model with [[CorrelationReference]] on the same
+    * answers and result.
+    */
+  private final class MemoChecked(inner: AssignStrategy) extends AssignStrategy {
+    def name: String = inner.name
+    override def needsSnapshot: Boolean = inner.needsSnapshot
+    override def needsCorrelation: Boolean = inner.needsCorrelation
+    override def observe(u: Int, i: Int, j: Int, value: Double): Unit = inner.observe(u, i, j, value)
+
+    val mismatches = mutable.Buffer.empty[String]
+    var compared, bounds, models = 0
+    private var picks = 0
+    private var lastCorr: Option[CorrelationModel] = None
+
+    private def check(st: AssignState, u: Int, when: String): Unit = {
+      val snap = st.snapshot
+      val phi = snap.workerVariance(u)
+      for (((i, j), g) <- st.memoizedGains(u)) {
+        val want = Assignment.inherentGain(snap, phi, i, j)
+        compared += 1
+        if (java.lang.Double.doubleToLongBits(g) != java.lang.Double.doubleToLongBits(want))
+          mismatches += s"$when pick $picks of worker $u: cell ($i, $j) memo $g, fresh $want"
+      }
+      for (((i, j), b) <- st.memoizedBounds(u)) {
+        val want = Assignment.inherentGain(snap, phi, i, j)
+        bounds += 1
+        if (!(math.abs(b - want) <= 1e-12))
+          mismatches += s"$when pick $picks of worker $u: cell ($i, $j) bound $b, fresh gain $want"
+      }
+    }
+
+    def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
+      picks += 1
+      if (st.corr.exists(c => !lastCorr.exists(_ eq c))) {
+        val want = CorrelationReference.estimate(Model.answerTable(st.snapshot.columns, st.log), st.snapshot.res)
+        models += 1
+        if (st.corr.get != want) mismatches += s"pick $picks: correlation model differs from the reference"
+        lastCorr = st.corr
+      }
+      check(st, u, "before")
+      val got = inner.pick(st, u)
+      check(st, u, "after")
+      got
+    }
+  }
+
+  for (make <- Seq[() => AssignStrategy](() => new InherentGainStrategy, () => new StructGainStrategy)) {
+    val name = make().name
+    test(s"$name: every memoized gain equals a fresh inherent gain at every pick") {
+      for ((rows, seed) <- settings) {
+        val checked = new MemoChecked(make())
+        Assignment.simulate(new CrowdSim(Experiments.onlineConfig(rows, seed)), spark, checked, runCfg)
+        assert(checked.compared > rows * 5 && checked.bounds > 0, s"rows=$rows seed=$seed")
+        assert(checked.mismatches.isEmpty, s"rows=$rows seed=$seed: ${checked.mismatches.take(5)}")
+        if (name == "Struct IG")
+          assert(checked.models == 2, s"rows=$rows seed=$seed: correlation models checked")
+      }
+    }
+  }
+
   /** SimPoints of the self-contained strategies recorded with the map-based
     * open-cell iterator; equal points mean the same cells in the same order.
     */

@@ -7,8 +7,9 @@ import scala.collection.mutable
   * replaced, kept as the reference the kernel must match bit for bit
   * (`AssignmentKernelSpec`, `InfoGainProps`): posteriors in tuple-keyed maps,
   * the open cells as an iterator over a per-worker set, the worker's row
-  * errors recomputed for every candidate cell, `maxBy` over the scores, and
-  * the categorical gain that builds every answer's posterior.
+  * errors recomputed for every candidate cell, `maxBy` over the scores, the
+  * categorical gain that builds every answer's posterior, and the §5.2
+  * prediction of [[CorrelationReference]].
   */
 object AssignmentReference {
 
@@ -124,7 +125,7 @@ object AssignmentReference {
       model <- st.corr
       obs = st.workerErrorsOnRow(u, i)
       if obs.nonEmpty
-      d <- model.predict(j, obs)
+      d <- CorrelationReference.predict(model, j, obs)
     } yield d
 
   def structureAwareGain(st: MapState, u: Int, i: Int, j: Int): Double = {

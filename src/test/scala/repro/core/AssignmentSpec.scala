@@ -84,6 +84,63 @@ class AssignmentSpec extends CrowdSpec {
     assert(snap.contOf(0, 1) == (0.0, 1.0))
   }
 
+  test("a categorical answer that is not a label is rejected online, naming the cell") {
+    for (bad <- Seq(1.5, -1.0, 3.0)) {
+      val want = s"requirement failed: answer $bad on cell (0, 0) is not a label in [0, 3)"
+      val st = mkState()
+      val recorded = intercept[IllegalArgumentException](st.record(Answer(3, 0, 0, bad)))
+      assert(recorded.getMessage == want)
+      assert(st.log.isEmpty && !st.isAnswered(3, 0, 0))
+      val before = st.snapshot.catOf(0, 0)
+      val applied = intercept[IllegalArgumentException](st.snapshot.applyAnswer(3, 0, 0, bad))
+      assert(applied.getMessage == want)
+      assert(st.snapshot.catOf(0, 0) eq before)
+    }
+  }
+
+  test("a continuous answer that is not finite is rejected by record, naming the cell") {
+    val e = intercept[IllegalArgumentException](mkState().record(Answer(3, 0, 1, Double.NaN)))
+    assert(e.getMessage == "requirement failed: answer NaN on cell (0, 1) is not a finite number")
+  }
+
+  test("Snapshot.stamp changes on the answered cell and on every cell at a refresh") {
+    val snap = mkState().snapshot
+    val k = snap.index(0, 1)
+    val stamps = (0 until 4).map(snap.stamp)
+    snap.applyAnswer(0, 0, 1, 0.5)
+    assert((0 until 4).filter(c => snap.stamp(c) != stamps(c)) == Seq(k))
+    val answered = (0 until 4).map(snap.stamp)
+    snap.refresh(mkResult())
+    assert((0 until 4).forall(c => snap.stamp(c) != answered(c)))
+  }
+
+  test("the gain memo holds only gains a fresh computation gives, and drops a cell when its stamp changes") {
+    val st = mkState()
+    val snap = st.snapshot
+    val strategy = new InherentGainStrategy
+    def fresh(u: Int) = (for (i <- 0 until 2; c <- columns) yield (i, c.col) -> inherentGain(st, u, i, c.col)).toMap
+    def memoized(u: Int) = st.memoizedGains(u).map(_._1).toSet
+    def check(u: Int): Unit = {
+      val want = fresh(u)
+      val picked = strategy.pick(st, u).get
+      assert(picked == want.maxBy(_._2)._1)
+      assert(memoized(u).contains(picked))
+      // continuous gains are never skipped
+      assert(Set((0, 1), (1, 1)).subsetOf(memoized(u)))
+      assert(st.memoizedGains(u).forall { case (c, g) => g == want(c) })
+    }
+    assert(st.memoizedGains(0).isEmpty)
+    check(0)
+    val before = memoized(0)
+    snap.applyAnswer(1, 0, 1, 2.0)
+    assert(memoized(0) == before - ((0, 1)))
+    check(0)
+    snap.refresh(mkResult(certainCat = true))
+    assert(st.memoizedGains(0).isEmpty)
+    check(0)
+    assert(st.memoizedGains(1).isEmpty)
+  }
+
   // -------------------------------------------------------------- AssignState
 
   test("record tracks answered cells per worker and per row") {

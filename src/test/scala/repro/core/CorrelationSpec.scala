@@ -90,6 +90,40 @@ class CorrelationSpec extends CrowdSpec {
       "errs" -> errs)
   }
 
+  test("errors equal the map-based reference bit for bit, with and without estimates") {
+    val partial = res.copy(catPosterior = res.catPosterior.filter(_._1._1 % 2 == 0),
+      contPosterior = res.contPosterior.filter(_._1._1 % 3 == 0), contStats = Map(2 -> (0.5, 2.0)))
+    for (r <- Seq(res, partial)) {
+      val (got, want) = (Correlation.errors(table, r), CorrelationReference.errors(table, r))
+      assert(got.map(java.lang.Double.doubleToLongBits).toSeq == want.map(java.lang.Double.doubleToLongBits).toSeq)
+    }
+  }
+
+  test("estimate equals the map-based reference exactly, whatever the schema order") {
+    val reordered = Model.answerTable(columns.reverse, answers)
+    val constant = Model.answerTable(columns, for (i <- 0 until 3; j <- Seq(2, 3)) yield Answer(0, i, j, 0.1))
+    for ((name, t, r) <- Seq(("60-row", table, res), ("reversed schema", reordered, res),
+                             ("constant", constant, mkResult(3)))) {
+      val got = Correlation.estimate(t, r)
+      assert(got == CorrelationReference.estimate(t, r), name)
+    }
+    assert(Correlation.estimate(reordered, res) == model)
+  }
+
+  test("conditional and predict equal the map-based reference exactly") {
+    val r = new Random(5)
+    val ids = Seq(0, 1, 2, 3, 99)
+    def error(k: Int): Double = if (k <= 1) r.nextInt(2).toDouble else 3 * r.nextGaussian()
+    for (m <- Seq(model, model.copy(condOnCat = Map.empty));
+         _ <- 0 until 300) {
+      val obs = List.fill(r.nextInt(4))(ids(r.nextInt(ids.size))).map(k => (k, error(k)))
+      for (j <- ids) {
+        assert(m.predict(j, obs) == CorrelationReference.predict(m, j, obs), s"j=$j obs=$obs")
+        for ((k, ek) <- obs) assert(m.conditional(j, k, ek) == CorrelationReference.conditional(m, j, k, ek))
+      }
+    }
+  }
+
   test("a pair of constant errors gets W = 0") {
     // three (worker, row) contexts whose errors on columns 2 and 3 are all 0.1
     val answers = for (i <- 0 until 3; j <- Seq(2, 3)) yield Answer(0, i, j, 0.1)

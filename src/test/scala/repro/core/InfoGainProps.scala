@@ -42,4 +42,11 @@ object InfoGainProps extends Properties("InfoGain") {
         (bits(shannonEntropy(posterior)) == bits(boxedEntropy(posterior))) :|
           "posterior entropy"
     }
+
+  property("mutualInformation equals categoricalGain to 1e-12, far inside the pick's slack") =
+    Prop.forAll(distribution.flatMap(p => quality(p.length).map(q => (p, q)))) { case (probs, q) =>
+      val gain = InfoGain.categoricalGain(probs, q)
+      val mi = InfoGain.mutualInformation(probs, q)
+      (math.abs(mi - gain) <= 1e-12) :| s"mutual information $mi, gain $gain"
+    }
 }
