@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.MathUtil._
 import repro.crowd.CrowdSim
 import repro.metrics.Metrics
+import scala.annotation.unused
 import scala.collection.mutable
 import scala.util.Random
 
@@ -158,8 +159,6 @@ final class AssignState(val snapshot: Snapshot) {
   private val numCells = numRows * colIds.length
   /** Label count of the column at each position; 0 if continuous. */
   private val numLabels = snapshot.columns.map(_.numLabels).toArray
-  /** Scratch list of the bounded categorical cells of one [[bestGainCell]]. */
-  private val stale = new Array[Int](numCells)
   var corr: Option[CorrelationModel] = None
   private val answered = mutable.Map.empty[Int, Array[Boolean]]
   private val memo = mutable.Map.empty[Int, AssignState.GainMemo]
@@ -192,42 +191,17 @@ final class AssignState(val snapshot: Snapshot) {
   /** The memoized gains of worker u whose stamp is current: each cell with
     * the gain a pick would read without computing it again.
     */
-  private[core] def memoizedGains(u: Int): Seq[((Int, Int), Double)] = memoized(u, exact = true)
-
-  /** The memoized bounds ([[Assignment.inherentGainBound]]) of worker u
-    * whose stamp is current: each cell with the bound a pick would read.
-    */
-  private[core] def memoizedBounds(u: Int): Seq[((Int, Int), Double)] = memoized(u, exact = false)
-
-  private def memoized(u: Int, exact: Boolean): Seq[((Int, Int), Double)] =
+  private[core] def memoizedGains(u: Int): Seq[((Int, Int), Double)] =
     memo.get(u).fold(Seq.empty[((Int, Int), Double)]) { g =>
       val m = colIds.length
-      (0 until numCells).filter(k => g.stamp(k) == snapshot.stamp(k) && g.exact(k) == exact)
-        .map(k => ((k / m, colIds(k % m)), g.value(k)))
+      (0 until numCells).filter(k => g.stamp(k) == snapshot.stamp(k)).map(k => ((k / m, colIds(k % m)), g.value(k)))
     }
-
-  /** Calls `visit(i, j)` for each cell worker u has not answered, row by
-    * row and within a row in `columns` order.
-    */
-  private def foreachOpenCell(u: Int)(visit: (Int, Int) => Unit): Unit = {
-    val done = answered.getOrElse(u, null)
-    val m = colIds.length
-    var i = 0
-    while (i < numRows) {
-      var p = 0
-      while (p < m) {
-        if (done == null || !done(i * m + p)) visit(i, colIds(p))
-        p += 1
-      }
-      i += 1
-    }
-  }
 
   /** The cells worker u has not answered, in row-then-`columns` order. */
   def availableCells(u: Int): IndexedSeq[(Int, Int)] = {
-    val open = IndexedSeq.newBuilder[(Int, Int)]
-    foreachOpenCell(u)((i, j) => open += ((i, j)))
-    open.result()
+    val done = answered.getOrElse(u, null)
+    val m = colIds.length
+    (0 until numCells).collect { case k if done == null || !done(k) => (k / m, colIds(k % m)) }
   }
 
   /** The open cell of worker u with the greatest score, scanning as
@@ -238,91 +212,64 @@ final class AssignState(val snapshot: Snapshot) {
     * so ties go to the first cell.
     */
   def bestOpenCell(u: Int)(rowScore: Int => Int => Double): Option[(Int, Int)] = {
-    var bestRow, bestCol = -1
-    var bestScore = 0.0
-    var row = -1
-    var score: Int => Double = null
-    foreachOpenCell(u) { (i, j) =>
-      if (i != row) { row = i; score = rowScore(i) }
-      val s = score(j)
-      if (bestRow < 0 || java.lang.Double.compare(s, bestScore) > 0) { bestRow = i; bestCol = j; bestScore = s }
-    }
-    if (bestRow < 0) None else Some((bestRow, bestCol))
-  }
-
-  /** The open cell of worker u with the greatest gain, chosen as
-    * [[bestOpenCell]] chooses. On a row where u has answered a cell and
-    * has an open one, `rowPrediction(i)` is called once and gives, for each
-    * column j, the §5.2 error distribution predicted for u on (i, j), if
-    * any; such a cell scores [[Assignment.predictedGain]]. Every other cell scores u's
-    * [[Assignment.inherentGain]], read from u's memo: the gain last
-    * computed on the cell, recomputed only when the cell's
-    * [[Snapshot.stamp]] has changed since. Within a stamp the gain's inputs
-    * (phi_u, alpha_i, beta_j and the cell's posterior) are fixed, so a
-    * memoized gain is the one a fresh computation gives, to the bit.
-    *
-    * A categorical cell without a current gain is bounded first: its
-    * [[Assignment.inherentGainBound]] (memoized the same way) plus `Slack`
-    * is at least its gain, so a cell whose bound falls below the best score
-    * so far cannot be picked, and its gain is not computed. The cells the
-    * bound does not rule out are scored after the scan, in scan order,
-    * against the best score of every other cell.
-    */
-  def bestGainCell(u: Int)(rowPrediction: Int => Int => Option[CondDist]): Option[(Int, Int)] = {
     val done = answered.getOrElse(u, null)
-    val g = memo.getOrElseUpdate(u, new AssignState.GainMemo(numCells))
-    val (value, exact, stamp) = (g.value, g.exact, g.stamp)
-    val phi = snapshot.workerVariance(u)
-    val slack = AssignState.Slack
     val m = colIds.length
     var best = -1
     var bestScore = 0.0
-    var deferred = 0
     var i = 0
     while (i < numRows) {
-      val row = i * m
-      var answeredHere, openHere = false
+      var score: Int => Double = null
       var p = 0
       while (p < m) {
-        if (done != null && done(row + p)) answeredHere = true else openHere = true
-        p += 1
-      }
-      val predict = if (answeredHere && openHere) rowPrediction(i) else null
-      p = 0
-      while (p < m) {
-        val k = row + p
+        val k = i * m + p
         if (done == null || !done(k)) {
-          val j = colIds(p)
-          val d = if (predict == null) None else predict(j)
-          val now = snapshot.stamp(k)
-          val current = stamp(k) == now
-          if (d.isEmpty && numLabels(p) > 0 && !(current && exact(k))) {
-            val bound =
-              if (current) value(k)
-              else g.set(k, now, Assignment.inherentGainBound(snapshot, phi, i, j), exact = false)
-            if (best < 0 || !(bound + slack < bestScore)) { stale(deferred) = k; deferred += 1 }
-          } else {
-            val s =
-              if (d.isDefined) Assignment.predictedGain(snapshot, d.get, i, j)
-              else if (current) value(k)
-              else g.set(k, now, Assignment.inherentGain(snapshot, phi, i, j), exact = true)
-            if (AssignState.beats(s, k, bestScore, best)) { best = k; bestScore = s }
-          }
+          if (score == null) score = rowScore(i)
+          val s = score(colIds(p))
+          if (best < 0 || java.lang.Double.compare(s, bestScore) > 0) { best = k; bestScore = s }
         }
         p += 1
       }
       i += 1
     }
-    var t = 0
-    while (t < deferred) {
-      val k = stale(t)
-      if (best < 0 || !(value(k) + slack < bestScore)) {
-        val s = g.set(k, snapshot.stamp(k), Assignment.inherentGain(snapshot, phi, k / m, colIds(k % m)), exact = true)
-        if (AssignState.beats(s, k, bestScore, best)) { best = k; bestScore = s }
-      }
-      t += 1
-    }
     if (best < 0) None else Some((best / m, colIds(best % m)))
+  }
+
+  /** The open cell of worker u with the greatest gain, chosen as
+    * [[bestOpenCell]] chooses. On a row where u has answered a cell,
+    * `rowPrediction(i)` is called once and gives, for each column j, the
+    * §5.2 error distribution predicted for u on (i, j), if any; such a cell
+    * scores [[Assignment.predictedGain]]. Every other cell scores u's
+    * [[Assignment.inherentGain]], read from u's memo: the gain last computed
+    * on the cell, recomputed only when the cell's [[Snapshot.stamp]] has
+    * changed since. Within a stamp the gain's inputs (phi_u, alpha_i,
+    * beta_j and the cell's posterior) are fixed, so a memoized gain is the
+    * one a fresh computation gives, to the bit.
+    */
+  def bestGainCell(u: Int)(rowPrediction: Int => Int => Option[CondDist]): Option[(Int, Int)] = {
+    val done = answered.getOrElse(u, null)
+    val g = memo.getOrElseUpdate(u, new AssignState.GainMemo(numCells))
+    val phi = snapshot.workerVariance(u)
+    bestOpenCell(u) { i =>
+      val predict = if (done != null && answersRow(done, i)) rowPrediction(i) else null
+      j => {
+        val d = if (predict == null) None else predict(j)
+        if (d.isDefined) Assignment.predictedGain(snapshot, d.get, i, j)
+        else {
+          val k = snapshot.index(i, j)
+          val now = snapshot.stamp(k)
+          if (g.stamp(k) != now) { g.value(k) = Assignment.inherentGain(snapshot, phi, i, j); g.stamp(k) = now }
+          g.value(k)
+        }
+      }
+    }
+  }
+
+  /** Whether a worker whose answered cells are `done` has answered a cell of row i. */
+  private def answersRow(done: Array[Boolean], i: Int): Boolean = {
+    val end = (i + 1) * colIds.length
+    var k = i * colIds.length
+    while (k < end && !done(k)) k += 1
+    k < end
   }
 
   /** Worker u's observed errors on row i vs the current snapshot estimates
@@ -341,36 +288,13 @@ final class AssignState(val snapshot: Snapshot) {
 }
 
 object AssignState {
-  /** Headroom of the bound in [[AssignState.bestGainCell]] over the
-    * rounding of a computed gain ([[InfoGain.mutualInformation]]).
-    */
-  private val Slack = 1e-9
-
-  /** One worker's memo over the cells of a [[Snapshot]]: the last value
-    * computed on each cell, whether it is the gain or only its bound, and
-    * the cell's stamp then (-1: none yet).
+  /** One worker's memo over the cells of a [[Snapshot]]: the last gain
+    * computed on each cell and the cell's stamp then (-1: none yet).
     */
   private final class GainMemo(n: Int) {
     val value = new Array[Double](n)
-    val exact = new Array[Boolean](n)
     val stamp: Array[Long] = Array.fill(n)(-1L)
-
-    /** Records v as cell k's gain (or bound) at stamp `now`; returns v. */
-    def set(k: Int, now: Long, v: Double, exact: Boolean): Double = {
-      value(k) = v; this.exact(k) = exact; stamp(k) = now
-      v
-    }
   }
-
-  /** Whether cell k with score s replaces the best cell so far: it scores
-    * greater under `java.lang.Double.compare`, or the same and comes first
-    * in scan order; none so far if `best < 0`.
-    */
-  private def beats(s: Double, k: Int, bestScore: Double, best: Int): Boolean =
-    best < 0 || {
-      val c = java.lang.Double.compare(s, bestScore)
-      c > 0 || (c == 0 && k < best)
-    }
 }
 
 /** Uniform-random assignment (the CRH/CATD/CrowdDB setting in the paper). */
@@ -477,9 +401,14 @@ sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
 }
 
 /** CDAS [20]: tasks whose current estimate is confident are terminated; the
-  * next task is random among non-terminated ones. Confidence is the leading
-  * vote share (categorical) / the standard error (continuous, in raw units
-  * relative to the cell's answer spread). A terminated cell scores 1.
+  * next task is random among non-terminated ones. A cell with at least
+  * `minAnswers` answers is confident if its leading vote share reaches
+  * `voteShare` (categorical) or its standard error `sqrt(v / n)` is at most
+  * `semRatio` times its answer spread `sqrt(v)` (continuous). The spread
+  * cancels, so the continuous rule holds only once `n >= (1 / semRatio)^2`
+  * (16 at the default) or when the cell's answers are all the same: in a
+  * session of at most 4 answers per cell, only identical answers terminate
+  * a continuous cell. A terminated cell scores 1.
   */
 final class CdasStrategy(catCols: Set[Int], seed: Long = 2L, minAnswers: Int = 3,
                          voteShare: Double = 0.8, semRatio: Double = 0.25)
@@ -566,31 +495,13 @@ object Assignment {
     else InfoGain.continuousGain(snap.contOf(i, j)._2, v)
   }
 
-  /** [[inherentGain]] of categorical cell (i, j) in the closed form
-    * [[InfoGain.mutualInformation]]: equal to it up to rounding, and cheaper.
-    */
-  private[core] def inherentGainBound(snap: Snapshot, phi: Double, i: Int, j: Int): Double =
-    InfoGain.mutualInformation(snap.catOf(i, j), quality(TCrowd.Eps, snap.answerVariance(phi, i, j)))
-
-  /** §5.2: [[inherentGain]] with the answer variance of a worker with
-    * variance `phi` replaced by the error distribution that the correlation
-    * model predicts from `obs`, the worker's errors on row i
-    * ([[AssignState.workerErrorsOnRow]]).
-    */
-  def structureAwareGain(st: AssignState, phi: Double, obs: Seq[(Int, Double)],
-                         i: Int, j: Int): Double = {
-    val predicted = if (obs.isEmpty) None else st.corr.flatMap(_.predict(j, obs))
-    predicted match {
-      case None    => inherentGain(st.snapshot, phi, i, j)
-      case Some(d) => predictedGain(st.snapshot, d, i, j)
-    }
-  }
-
   /** No §5.2 prediction on any row: [[AssignState.bestGainCell]] by inherent gain. */
   private[core] val noPrediction: Int => Int => Option[CondDist] = _ => _ => None
 
-  /** The gain of cell (i, j) for a worker whose error on it the correlation
-    * model predicts to follow `d` ([[structureAwareGain]]).
+  /** §5.2: [[inherentGain]] of cell (i, j) with the worker's answer
+    * variance replaced by the error distribution `d` that the correlation
+    * model predicts from the worker's errors on row i
+    * ([[AssignState.workerErrorsOnRow]]).
     */
   def predictedGain(snap: Snapshot, d: CondDist, i: Int, j: Int): Double =
     if (snap.isCategorical(j))
@@ -606,7 +517,7 @@ object Assignment {
     * `sim.allTruth`. `spark` is unused; it stays in the signature for the
     * callers that pass it, among them the perfbench harness.
     */
-  def simulate(sim: CrowdSim, spark: SparkSession, strategy: AssignStrategy,
+  def simulate(sim: CrowdSim, @unused spark: SparkSession, strategy: AssignStrategy,
                cfg: SimRunConfig = SimRunConfig()): Seq[SimPoint] = {
     val columns = sim.columnSpecs
     val truth = sim.allTruth

@@ -24,8 +24,13 @@ object InfoGain {
   def continuousGain(tPhi: Double, answerVar: Double): Double =
     0.5 * math.log1p(math.max(tPhi, 1e-300) / math.max(answerVar, 1e-12))
 
-  /** Gain for a categorical cell: exact expectation over the worker's
-    * predictive answer distribution.
+  /** Gain for a categorical cell. Eq. 6's expected entropy drop
+    * `H(T) - E_A[H(T | A)]` is the mutual information of answer and truth,
+    * computed in the closed form `I(T; A) = H(A) - H(A | T)`: the entropy of
+    * the predictive answer distribution less the entropy of the worker's
+    * noise, `-q ln q - (1 - q) ln((1 - q) / (L - 1))`, which is the same for
+    * every true label. It takes L + 2 logarithms where the expectation takes
+    * about L^2.
     *
     * @param probs current truth posterior over the label set
     * @param q     probability the worker answers this cell correctly
@@ -35,58 +40,15 @@ object InfoGain {
     if (l < 2) return 0.0
     val qc = clampProb(q)
     val wrong = (1.0 - qc) / (l - 1)
-    val h0 = shannonEntropy(probs)
-    var expected = 0.0
-    var z = 0
-    while (z < l) {
-      // predictive probability of answer z
-      val pa = probs(z) * qc + (1.0 - probs(z)) * wrong
-      if (pa > 1e-15) expected += pa * posteriorEntropy(probs, qc, wrong, z)
-      z += 1
-    }
-    h0 - expected
-  }
-
-  /** [[categoricalGain]] in the closed form `I(T; A) = H(A) - H(A | T)`:
-    * the entropy of the predictive answer distribution less the entropy of
-    * the worker's noise, `-q ln q - (1 - q) ln((1 - q) / (L - 1))`, which is
-    * the same for every true label. The two agree up to rounding (and the
-    * answers of predictive probability at most 1e-15, which categoricalGain
-    * leaves out); this takes L + 2 logarithms instead of about L^2.
-    */
-  def mutualInformation(probs: Array[Double], q: Double): Double = {
-    val l = probs.length
-    if (l < 2) return 0.0
-    val qc = clampProb(q)
-    val wrong = (1.0 - qc) / (l - 1)
     var h = 0.0
     var z = 0
     while (z < l) {
+      // predictive probability of answer z
       val pa = probs(z) * qc + (1.0 - probs(z)) * wrong
       if (pa > 0) h -= pa * math.log(pa)
       z += 1
     }
     h + qc * math.log(qc) + (1.0 - qc) * math.log(wrong)
-  }
-
-  /** `shannonEntropy(answerPosterior(probs, q, a))` without building the
-    * posterior: the same products, normaliser, quotients and entropy terms,
-    * in the same order, so the result is the same to the bit.
-    * `wrong = (1 - q) / (L - 1)`.
-    */
-  private def posteriorEntropy(probs: Array[Double], q: Double, wrong: Double, a: Int): Double = {
-    val l = probs.length
-    var norm = 0.0
-    var t = 0
-    while (t < l) { norm += probs(t) * (if (t == a) q else wrong); t += 1 }
-    var s = 0.0
-    t = 0
-    while (t < l) {
-      val p = probs(t) * (if (t == a) q else wrong) / norm
-      if (p > 0) s += p * math.log(p)
-      t += 1
-    }
-    -s
   }
 
   /** Truth posterior of a categorical cell after one answer `a` from a worker

@@ -10,7 +10,9 @@ import scala.collection.mutable
 /** The dense pick ([[AssignState.bestOpenCell]] over the array-backed
   * [[Snapshot]]) against the map-based scoring it replaced
   * ([[AssignmentReference]]), in whole online sessions on the Restaurant
-  * surrogate of `Experiments.onlineConfig`.
+  * surrogate of `Experiments.onlineConfig`. The reference scores a
+  * categorical cell by Eq. 6 as an expectation and the pick by its closed
+  * form, so the two gains agree to rounding (1e-12) and the cells exactly.
   */
 class AssignmentKernelSpec extends CrowdSpec {
 
@@ -31,6 +33,8 @@ class AssignmentKernelSpec extends CrowdSpec {
 
     val mismatches = mutable.Buffer.empty[String]
     var picks = 0
+    /** The largest gap between a picked cell's gain and the reference's. */
+    var largestGap = 0.0
     /** Picks whose chosen cell the reference scored with the §5.2 prediction. */
     var predictedPicks = 0
     private var ref: MapState = _
@@ -58,8 +62,7 @@ class AssignmentKernelSpec extends CrowdSpec {
       name match {
         case "Entropy"     => InfoGain.uniformEntropy(s.isCategorical(j), s.catOf(i, j), s.contOf(i, j)._2)
         case "Inherent IG" => Assignment.inherentGain(s, s.workerVariance(u), i, j)
-        case "Struct IG"   =>
-          Assignment.structureAwareGain(st, s.workerVariance(u), st.workerErrorsOnRow(u, i), i, j)
+        case "Struct IG"   => AssignmentReference.structureAwareGain(st, u, i, j)
       }
     }
 
@@ -71,7 +74,10 @@ class AssignmentKernelSpec extends CrowdSpec {
       (got, want) match {
         case (Some((i, j)), Some((cell, gain))) =>
           val g = score(st, u, i, j)
-          if ((i, j) != cell || !(g == gain)) mismatches += s"pick $picks of worker $u: ($i, $j) gain $g, reference $cell gain $gain"
+          val gap = math.abs(g - gain)
+          largestGap = math.max(largestGap, gap)
+          val same = if (name == "Entropy") g == gain else gap <= 1e-12
+          if ((i, j) != cell || !same) mismatches += s"pick $picks of worker $u: ($i, $j) gain $g, reference $cell gain $gain"
           if (AssignmentReference.predicted(ref, u, i, j).nonEmpty) predictedPicks += 1
         case (None, None) =>
         case _ => mismatches += s"pick $picks of worker $u: $got, reference $want"
@@ -84,6 +90,7 @@ class AssignmentKernelSpec extends CrowdSpec {
                                          () => new StructGainStrategy)) {
     val name = make().name
     test(s"$name: every pick and its gain equal the map-based reference") {
+      var largestGap = 0.0
       for ((rows, seed) <- settings) {
         val checked = new Checked(make())
         val pts = Assignment.simulate(new CrowdSim(Experiments.onlineConfig(rows, seed)), spark, checked, runCfg)
@@ -92,16 +99,17 @@ class AssignmentKernelSpec extends CrowdSpec {
         assert(checked.mismatches.isEmpty, s"rows=$rows seed=$seed: ${checked.mismatches.take(5)}")
         if (name == "Struct IG")
           assert(checked.predictedPicks > 0, s"rows=$rows seed=$seed: no pick ran the §5.2 prediction")
+        largestGap = math.max(largestGap, checked.largestGap)
       }
+      info(s"largest gap between a picked gain and the reference's: $largestGap")
     }
   }
 
   /** Delegates to `inner` and, before and after each of its picks, compares
     * every memoized gain of the picking worker whose stamp is current with a
-    * fresh [[Assignment.inherentGain]], bit for bit, and every memoized bound
-    * with it to 1e-12. At the first pick after a refresh it compares the
-    * session's correlation model with [[CorrelationReference]] on the same
-    * answers and result.
+    * fresh [[Assignment.inherentGain]], bit for bit. At the first pick after
+    * a refresh it compares the session's correlation model with
+    * [[CorrelationReference]] on the same answers and result.
     */
   private final class MemoChecked(inner: AssignStrategy) extends AssignStrategy {
     def name: String = inner.name
@@ -110,7 +118,7 @@ class AssignmentKernelSpec extends CrowdSpec {
     override def observe(u: Int, i: Int, j: Int, value: Double): Unit = inner.observe(u, i, j, value)
 
     val mismatches = mutable.Buffer.empty[String]
-    var compared, bounds, models = 0
+    var compared, models = 0
     private var picks = 0
     private var lastCorr: Option[CorrelationModel] = None
 
@@ -122,12 +130,6 @@ class AssignmentKernelSpec extends CrowdSpec {
         compared += 1
         if (java.lang.Double.doubleToLongBits(g) != java.lang.Double.doubleToLongBits(want))
           mismatches += s"$when pick $picks of worker $u: cell ($i, $j) memo $g, fresh $want"
-      }
-      for (((i, j), b) <- st.memoizedBounds(u)) {
-        val want = Assignment.inherentGain(snap, phi, i, j)
-        bounds += 1
-        if (!(math.abs(b - want) <= 1e-12))
-          mismatches += s"$when pick $picks of worker $u: cell ($i, $j) bound $b, fresh gain $want"
       }
     }
 
@@ -152,7 +154,7 @@ class AssignmentKernelSpec extends CrowdSpec {
       for ((rows, seed) <- settings) {
         val checked = new MemoChecked(make())
         Assignment.simulate(new CrowdSim(Experiments.onlineConfig(rows, seed)), spark, checked, runCfg)
-        assert(checked.compared > rows * 5 && checked.bounds > 0, s"rows=$rows seed=$seed")
+        assert(checked.compared > rows * 5, s"rows=$rows seed=$seed")
         assert(checked.mismatches.isEmpty, s"rows=$rows seed=$seed: ${checked.mismatches.take(5)}")
         if (name == "Struct IG")
           assert(checked.models == 2, s"rows=$rows seed=$seed: correlation models checked")

@@ -4,12 +4,13 @@ import repro.core.MathUtil._
 import scala.collection.mutable
 
 /** The map-based scoring that the dense pick of [[AssignState.bestOpenCell]]
-  * replaced, kept as the reference the kernel must match bit for bit
+  * replaced, kept as the reference the kernel must match
   * (`AssignmentKernelSpec`, `InfoGainProps`): posteriors in tuple-keyed maps,
   * the open cells as an iterator over a per-worker set, the worker's row
-  * errors recomputed for every candidate cell, `maxBy` over the scores, the
-  * categorical gain that builds every answer's posterior, and the §5.2
-  * prediction of [[CorrelationReference]].
+  * errors recomputed for every candidate cell, `maxBy` over the scores,
+  * Eq. 6's categorical gain as the expectation that builds every answer's
+  * posterior (the kernel's closed form agrees with it to rounding), and the
+  * §5.2 prediction of [[CorrelationReference]].
   */
 object AssignmentReference {
 
@@ -17,8 +18,9 @@ object AssignmentReference {
   def shannonEntropy(probs: Iterable[Double]): Double =
     -probs.filter(_ > 0).map(p => p * math.log(p)).sum
 
-  /** The gain of a categorical cell as a sum over freshly built answer
-    * posteriors, each entropy taken over a boxed `Iterable`.
+  /** The gain of a categorical cell by Eq. 6, `H(T) - E_A[H(T | A)]`: a sum
+    * over freshly built answer posteriors, each entropy taken over a boxed
+    * `Iterable`.
     */
   def categoricalGain(probs: Array[Double], q: Double): Double = {
     val l = probs.length
@@ -138,6 +140,20 @@ object AssignmentReference {
         else
           InfoGain.continuousGain(snap.contOf(i, j)._2,
             math.max(d.variance + d.mean * d.mean, 1e-6))
+    }
+  }
+
+  /** Struct IG's score of cell (i, j) for worker u on the dense
+    * [[AssignState]]: [[Assignment.predictedGain]] where the session's
+    * correlation model predicts u's error from u's errors on row i, else
+    * [[Assignment.inherentGain]].
+    */
+  def structureAwareGain(st: AssignState, u: Int, i: Int, j: Int): Double = {
+    val snap = st.snapshot
+    val obs = st.workerErrorsOnRow(u, i)
+    st.corr.flatMap(model => if (obs.isEmpty) None else model.predict(j, obs)) match {
+      case Some(d) => Assignment.predictedGain(snap, d, i, j)
+      case None    => Assignment.inherentGain(snap, snap.workerVariance(u), i, j)
     }
   }
 

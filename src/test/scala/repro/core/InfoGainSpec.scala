@@ -58,8 +58,8 @@ class InfoGainSpec extends AnyFunSuite {
     }
   }
 
-  test("categoricalGain equals mutual information computed as H(A) - H(A|T)") {
-    // independent identity: I(T;A) = H(A) - H(A|T)
+  test("categoricalGain equals the expected entropy drop H(T) - sum_a P(a) H(T | a)") {
+    // Eq. 6 as written: the expectation over answers of the posterior entropy
     val r = new Random(3)
     for (_ <- 1 to 50) {
       val l = 2 + r.nextInt(4)
@@ -67,12 +67,13 @@ class InfoGainSpec extends AnyFunSuite {
       val probs = raw.map(_ / raw.sum)
       val q = clampProb(0.05 + r.nextDouble() * 0.9)
       val wrong = (1 - q) / (l - 1)
-      val predictive = Array.tabulate(l)(z => probs(z) * q + (1 - probs(z)) * wrong)
-      val hA = shannonEntropy(predictive)
-      val hAgivenT = -(q * math.log(q) + (1 - q) * math.log(wrong)) // same for every t
-      val mi = hA - hAgivenT
+      val expected = (0 until l).map { a =>
+        val pa = probs(a) * q + (1 - probs(a)) * wrong
+        pa * shannonEntropy(answerPosterior(probs, q, a))
+      }.sum
+      val drop = shannonEntropy(probs) - expected
       val got = categoricalGain(probs, q)
-      assert(math.abs(got - mi) < 1e-9, s"l=$l q=$q")
+      assert(math.abs(got - drop) < 1e-9, s"l=$l q=$q")
     }
   }
 
