@@ -39,6 +39,20 @@ object AssignmentReference {
     h0 - expected
   }
 
+  /** The gain of a categorical cell in the closed form `I(T; A) = H(A) -
+    * H(A | T)`, over boxed collections: the entropy of the predictive answer
+    * distribution less the worker's noise entropy. The arithmetic, and its
+    * order, is that of [[InfoGain.categoricalGain]].
+    */
+  def mutualInformation(probs: Array[Double], q: Double): Double = {
+    val l = probs.length
+    if (l < 2) return 0.0
+    val qc = clampProb(q)
+    val wrong = (1.0 - qc) / (l - 1)
+    val answers = probs.toSeq.map(p => p * qc + (1.0 - p) * wrong)
+    shannonEntropy(answers) + qc * math.log(qc) + (1.0 - qc) * math.log(wrong)
+  }
+
   /** Posteriors keyed by `(row, col)`; unseen cells are uniform / prior. */
   final class MapSnapshot(var res: TCrowdResult, val labelCount: Map[Int, Int]) {
     val contPost: mutable.Map[(Int, Int), (Double, Double)] = mutable.Map.from(res.contPosterior)

@@ -5,10 +5,10 @@ import org.scalacheck.Prop.propBoolean
 import repro.core.AssignmentReference.{shannonEntropy => boxedEntropy}
 import repro.core.MathUtil.shannonEntropy
 
-/** The closed-form categorical gain against Eq. 6 as an expectation over
-  * freshly built answer posteriors ([[AssignmentReference.categoricalGain]]),
-  * to rounding, and the allocation-free entropy against the boxed formula,
-  * bit for bit.
+/** The allocation-free categorical gain and entropy against the boxed
+  * formulas they are written from, bit for bit, and the closed-form gain
+  * against Eq. 6 as an expectation over freshly built answer posteriors
+  * ([[AssignmentReference.categoricalGain]]), to rounding.
   */
 object InfoGainProps extends Properties("InfoGain") {
 
@@ -34,20 +34,30 @@ object InfoGainProps extends Properties("InfoGain") {
     Gen.choose(0.0, 2e-9), Gen.choose(1.0 - 2e-9, 1.0),
     Gen.choose(1.0 / l - 1e-9, 1.0 / l + 1e-9), Gen.const(1.0 / l), Gen.choose(0.0, 1.0))
 
+  private val cases = distribution.flatMap(p => quality(p.length).map(q => (p, q)))
+
   // no shrinking: a shrunk array is no longer a distribution
-  property("categoricalGain is Eq. 6 to 1e-12 and in [0, H(T)]; shannonEntropy(Array) is the boxed formula") =
-    Prop.forAllNoShrink(distribution.flatMap(p => quality(p.length).map(q => (p, q)))) { case (probs, q) =>
+  property("categoricalGain and shannonEntropy(Array) equal the boxed formulas bit for bit") =
+    Prop.forAllNoShrink(cases) { case (probs, q) =>
       val gain = InfoGain.categoricalGain(probs, q)
-      val want = AssignmentReference.categoricalGain(probs, q)
+      val want = AssignmentReference.mutualInformation(probs, q)
       val posterior = InfoGain.answerPosterior(probs, q, 0)
-      val h = shannonEntropy(probs)
-      val at = s"probs ${probs.mkString(", ")}, q $q"
-      (math.abs(gain - want) <= 1e-12) :| s"gain $gain, Eq. 6 $want; $at" &&
-        // 0 <= I(T; A) <= H(T), to rounding: at q = 1/L the gain is 0 and
-        // rounds to either side of it
-        (gain >= -1e-12 && gain <= h + 1e-12) :| s"gain $gain, H(T) $h; $at" &&
-        (bits(h) == bits(boxedEntropy(probs))) :| "entropy" &&
+      (bits(gain) == bits(want)) :| s"gain $gain, boxed $want" &&
+        (bits(shannonEntropy(probs)) == bits(boxedEntropy(probs))) :| "entropy" &&
         (bits(shannonEntropy(posterior)) == bits(boxedEntropy(posterior))) :|
           "posterior entropy"
+    }
+
+  // the closed form I(T; A) against Eq. 6, and 0 <= I(T; A) <= H(T); both
+  // to 1e-12, the tolerance within which the kernel's picks must match the
+  // reference's: at q = 1/L the gain is 0 and rounds to either side of it
+  property("mutualInformation equals categoricalGain to 1e-12, far inside the pick's slack") =
+    Prop.forAllNoShrink(cases) { case (probs, q) =>
+      val mi = AssignmentReference.mutualInformation(probs, q)
+      val gain = AssignmentReference.categoricalGain(probs, q)
+      val h = shannonEntropy(probs)
+      val at = s"probs ${probs.mkString(", ")}, q $q"
+      (math.abs(mi - gain) <= 1e-12) :| s"mutual information $mi, Eq. 6 $gain; $at" &&
+        (mi >= -1e-12 && mi <= h + 1e-12) :| s"mutual information $mi, H(T) $h; $at"
     }
 }
