@@ -17,12 +17,14 @@ import scala.util.Random
   * The snapshot owns the session's table layout: the posteriors of the
   * `numRows` x `columns` table sit in arrays indexed by
   * `row * columns.size + position of the column` ([[Model.columnPositions]]),
-  * alpha in an array per row and beta per column position. A cell the
-  * result does not cover, and any cell on a row outside the table, has the
-  * uniform (categorical) or `N(0, PriorVar)` (continuous) posterior; a row
-  * or column without a difficulty has 1, a worker without a variance 1. A
-  * read of a column outside the schema throws an
-  * `IllegalArgumentException` naming the column.
+  * alpha in an array per row and beta per column position. A refresh
+  * copies the result's arrays cell by cell through the result's table and
+  * ignores its rows and columns outside this table. A cell the result does
+  * not cover, and any cell on a row outside the table, has the uniform
+  * (categorical) or `N(0, PriorVar)` (continuous) posterior; a row or
+  * column without a difficulty has 1, a worker without a variance 1. A read
+  * of a column outside the schema throws an `IllegalArgumentException`
+  * naming the column.
   *
   * Each cell's posterior carries a [[stamp]]: `refresh` starts a new epoch
   * (it may change every posterior, alpha, beta and phi) and `applyAnswer`
@@ -53,10 +55,12 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
       val k = i * m + p
       mu(k) = 0.0; tphi(k) = Model.PriorVar; cat(k) = uniform(p)
     }
-    for (((i, j), (mean, v)) <- r.contPosterior) { val k = index(i, j); if (k >= 0) { mu(k) = mean; tphi(k) = v } }
-    for (((i, j), probs) <- r.catPosterior) { val k = index(i, j); if (k >= 0) cat(k) = probs }
-    for (i <- 0 until numRows) alpha(i) = r.alpha.getOrElse(i, 1.0)
-    for (p <- 0 until m) beta(p) = r.beta.getOrElse(columns(p).col, 1.0)
+    val t = r.table
+    for (c <- t.cellIds.indices; k = index(t.cellIds(c)._1, t.cellIds(c)._2) if k >= 0)
+      if (t.cellLabels(c) > 0) cat(k) = r.post(c) else { mu(k) = r.mu(c); tphi(k) = r.tphi(c) }
+    java.util.Arrays.fill(alpha, 1.0)
+    for (x <- t.rowIds.indices if hasRow(t.rowIds(x))) alpha(t.rowIds(x)) = r.alpha(x)
+    for (p <- 0 until m) { val q = t.colPos(columns(p).col); beta(p) = if (q < 0) 1.0 else r.beta(q) }
   }
 
   /** The position of column j in `columns`.
@@ -96,7 +100,10 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
   }
 
   /** Variance `phi_u` of worker u. */
-  def workerVariance(u: Int): Double = current.phi.getOrElse(u, 1.0)
+  def workerVariance(u: Int): Double = {
+    val x = java.util.Arrays.binarySearch(current.table.workerIds, u)
+    if (x >= 0) current.phi(x) else 1.0
+  }
 
   /** Answer variance `alpha_i * beta_j * phi` on cell (i, j) of a worker with variance `phi`. */
   def answerVariance(phi: Double, i: Int, j: Int): Double =
@@ -108,7 +115,7 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
     else contOf(i, j)._1
 
   /** Normalize a raw continuous answer with the snapshot's column stats. */
-  def normalize(j: Int, v: Double): Double = Model.normalize(current.contStats, j, v)
+  def normalize(j: Int, v: Double): Double = Model.normalize(current.table.stats, j, v)
 
   /** Local Bayesian update of cell (i,j)'s posterior with a new raw answer.
     *
@@ -367,7 +374,9 @@ final class StructGainStrategy extends AssignStrategy {
 /** Base of CDAS and AskIt, which score a cell by the answers they observed
   * on it, tallied in arrays in the [[Snapshot]]'s cell layout. `observe` has
   * no session state to size them by: it queues the answer, and each pick
-  * first tallies the queue, in the order observed.
+  * first tallies the queue, in the order observed. The pick that tallies an
+  * answer on a cell outside the table throws an `IllegalArgumentException`
+  * naming the cell.
   */
 sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
   private val queued = mutable.ArrayBuffer.empty[Answer]
@@ -391,6 +400,7 @@ sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
       colCount = new Array(m); colSum = new Array(m); colSumSq = new Array(m)
     }
     for (a <- queued; k = st.snapshot.index(a.row, a.col); v = a.value) {
+      require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${st.snapshot.numRows}-row table")
       count(k) += 1
       if (categorical(k)) votes(k)(Model.label(a.row, a.col, v, votes(k).length)) += 1
       else { sum(k) += v; sumSq(k) += v * v; colCount(k % m) += 1; colSum(k % m) += v; colSumSq(k % m) += v * v }
@@ -549,7 +559,7 @@ object Assignment {
       val needTc = strategy.needsSnapshot || strategy.needsCorrelation || cfg.inference.isEmpty
       val res = if (needTc) Some(TCrowd.infer(t, cfg.tcrowd)) else None
       res.foreach(r => if (strategy.needsSnapshot) st.snapshot.refresh(r))
-      if (strategy.needsCorrelation) st.corr = res.map(r => Correlation.estimate(t, r))
+      if (strategy.needsCorrelation) st.corr = res.map(Correlation.estimate)
       val estimates = cfg.inference match {
         case Some(m) => m.infer(t)
         case None    => res.get.estimatesLocal
@@ -580,10 +590,9 @@ object Assignment {
     points.toSeq
   }
 
-  /** An empty inference result used to bootstrap the snapshot before the
+  /** The result of an empty table, which bootstraps the snapshot before the
     * first refresh (uniform/prior posteriors, unit parameters).
     */
   private[core] val emptyResult: TCrowdResult =
-    TCrowdResult(Seq.empty, Map.empty, Map.empty, Map.empty, Map.empty, Map.empty,
-      Map.empty, 0, converged = false)
+    TCrowd.infer(Model.answerTable(Seq.empty, Nil), TCrowdConfig(maxIters = 0))
 }

@@ -9,37 +9,37 @@ import repro.core.MathUtil._
   */
 final case class CondDist(mean: Double, variance: Double, n: Long)
 
-/** The structure-aware error-correlation model of paper §5.2 (Tables 4/5):
-  * per-attribute error marginals, per-pair Pearson weights `W_jk` (Eq. 8),
-  * and the four conditional-distribution cases. Errors are measured against
-  * the current truth estimates in z-normalized space (categorical: 0/1).
+/** The structure-aware error-correlation model of paper §5.2 (Tables 4/5),
+  * as the moments [[Correlation.estimate]] accumulates over the columns of
+  * its answer table: per-attribute error marginals, per-pair bivariate
+  * moments (the Pearson weights `W_jk` of Eq. 8, 0 for a pair whose errors
+  * are constant, and the cont|cont case) and moments conditioned on a
+  * categorical attribute's error. Errors are measured against the truth
+  * estimates in z-normalized space (categorical: 0/1). An entry never
+  * observed is null.
   *
-  * @param isCat        datatype of each attribute
-  * @param marginal     marginal error distribution per attribute
-  *                     (categorical: mean = error rate; continuous: mean/var)
-  * @param weight       `W_jk` Pearson correlation of paired errors
-  * @param condOnCat    (j, k, e_k∈{0,1}) -> distribution of e_j given a
-  *                     *categorical* conditioning attribute k
-  * @param contPair     (j, k) -> bivariate moments (muJ, muK, varJ, varK,
-  *                     cov) for continuous j conditioned on continuous k
+  * @param columns  the schema; positions ([[Model.columnPositions]]) index the arrays
+  * @param marginal error moments of the column at each position
+  * @param pair     moments of (e_j, e_k) at `jx * m + kx`, for the m columns
+  * @param cond     moments of e_j given a categorical e_k = e, at `(jx * m + kx) * 2 + e`
   */
-final case class CorrelationModel(
-    isCat: Map[Int, Boolean],
-    marginal: Map[Int, CondDist],
-    weight: Map[(Int, Int), Double],
-    condOnCat: Map[(Int, Int, Int), CondDist],
-    contPair: Map[(Int, Int), (Double, Double, Double, Double, Double)],
+final class CorrelationModel private[core] (
+    val columns: Seq[ColumnSpec],
+    val marginal: Array[Moments],
+    val pair: Array[Moments],
+    val cond: Array[Moments],
 ) {
-
-  private lazy val dense = new CorrelationModel.Dense(this)
+  private val m = columns.size
+  private val position = Model.columnPositions(columns)
+  private val cat = columns.map(_.isCategorical).toArray
 
   /** `P(e_j | e_k = ek)` for one observed error (paper Table 5). Returns the
     * conditional distribution of e_j (categorical target: mean = error
     * probability), or None when the pair was never observed together.
     */
   def conditional(j: Int, k: Int, ek: Double): Option[CondDist] = {
-    val (jx, kx) = (dense.index(j), dense.index(k))
-    if (jx < 0 || kx < 0) None else Option(dense.conditional(jx, kx, ek))
+    val (jx, kx) = (position(j), position(k))
+    if (jx < 0 || kx < 0) None else Option(conditionalAt(jx, kx, ek))
   }
 
   /** Paper Eq. 7: `P(e_j | E_i^u)` as the `W_jk`-weighted combination of the
@@ -50,18 +50,19 @@ final case class CorrelationModel(
     * observed attribute co-occurred with j.
     */
   def predict(j: Int, observed: Seq[(Int, Double)]): Option[CondDist] = {
-    val jx = dense.index(j)
+    val jx = position(j)
     var sw, mean, second = 0.0
     var n = 0L
     var parts = 0
     val it = observed.iterator
     while (it.hasNext) {
       val (k, ek) = it.next()
-      val kx = dense.index(k)
+      val kx = position(k)
       if (k != j && jx >= 0 && kx >= 0) {
-        val d = dense.conditional(jx, kx, ek)
+        val d = conditionalAt(jx, kx, ek)
         if (d != null) {
-          val wk = dense.weight(jx * dense.m + kx)
+          // a conditional implies the pair was observed together
+          val wk = math.max(math.abs(pair(jx * m + kx).correlation), 1e-3)
           sw += wk
           mean += wk * d.mean
           second += wk * (d.variance + d.mean * d.mean)
@@ -77,89 +78,60 @@ final case class CorrelationModel(
       Some(CondDist(mean, math.max(second - mean * mean, 1e-9), n))
     }
   }
-}
 
-object CorrelationModel {
+  /** The distribution of the moments `ms`; null if there are none. */
+  private def dist(ms: Moments): CondDist = if (ms == null) null else CondDist(ms.meanX, ms.varX, ms.n)
 
-  /** The maps of `cm` as arrays over the sorted column ids that occur in
-    * any of them, so that a conditional is a few array reads.
-    */
-  private final class Dense(cm: CorrelationModel) {
-    private val ids: Array[Int] = (cm.isCat.keys ++ cm.marginal.keys ++
-      cm.weight.keys.flatMap { case (j, k) => Seq(j, k) } ++
-      cm.condOnCat.keys.flatMap { case (j, k, _) => Seq(j, k) } ++
-      cm.contPair.keys.flatMap { case (j, k) => Seq(j, k) }).toArray.distinct.sorted
-    val m: Int = ids.length
-
-    /** The position of column id j in `ids`; -1 if no map mentions it. */
-    def index(j: Int): Int = math.max(java.util.Arrays.binarySearch(ids, j), -1)
-
-    private def pairs[V](f: (Int, Int) => V): IndexedSeq[V] =
-      for (jx <- 0 until m; kx <- 0 until m) yield f(ids(jx), ids(kx))
-
-    private val cat = ids.map(cm.isCat.getOrElse(_, false))
-    private val marginal = ids.map(cm.marginal.getOrElse(_, null))
-    /** `|W_jk|` floored at 1e-3, at `jx * m + kx`. */
-    val weight: Array[Double] = pairs((j, k) => math.max(math.abs(cm.weight.getOrElse((j, k), 0.0)), 1e-3)).toArray
-    private val contPair = pairs((j, k) => cm.contPair.getOrElse((j, k), null)).toArray
-    /** `condOnCat` at `(jx * m + kx) * 2 + e`. */
-    private val cond = pairs((j, k) => Seq(0, 1).map(e => cm.condOnCat.getOrElse((j, k, e), null))).flatten.toArray
-
-    /** [[CorrelationModel.conditional]] of the columns at positions jx, kx; null for None. */
-    def conditional(jx: Int, kx: Int, ek: Double): CondDist =
-      if (cat(kx)) {
-        // cases (a) cat|cat and (c) cont|cat: directly estimated
-        cond((jx * m + kx) * 2 + (if (ek > 0.5) 1 else 0))
-      } else if (!cat(jx)) {
-        // case (b) cont|cont: conditional of a bivariate normal
-        val c = contPair(jx * m + kx)
-        if (c == null) null
-        else {
-          val (muJ, muK, varJ, varK, cov) = c
-          val vk  = math.max(varK, 1e-9)
-          val rho = cov / math.sqrt(math.max(varJ, 1e-9) * vk)
-          val r   = math.max(-0.999, math.min(0.999, rho))
-          CondDist(muJ + cov / vk * (ek - muK), (1 - r * r) * math.max(varJ, 1e-9), 1)
-        }
-      } else {
-        // case (d) cat j | cont k: Bayes over P(e_k | e_j) normals + P(e_j)
-        val d1 = cond((kx * m + jx) * 2 + 1) // e_k | e_j = 1
-        val d0 = cond((kx * m + jx) * 2)     // e_k | e_j = 0
-        val mj = marginal(jx)
-        if (d1 == null || d0 == null || mj == null) null
-        else {
-          val p1 = clampProb(mj.mean)
-          val l1 = normalPdf(ek, d1.mean, math.max(d1.variance, 1e-6)) * p1
-          val l0 = normalPdf(ek, d0.mean, math.max(d0.variance, 1e-6)) * (1 - p1)
-          val pe = if (l1 + l0 <= 0) p1 else l1 / (l1 + l0)
-          CondDist(clampProb(pe), pe * (1 - pe), d1.n + d0.n)
-        }
+  /** [[conditional]] of the columns at positions jx, kx; null for None. */
+  private def conditionalAt(jx: Int, kx: Int, ek: Double): CondDist =
+    if (cat(kx)) {
+      // cases (a) cat|cat and (c) cont|cat: directly estimated
+      dist(cond((jx * m + kx) * 2 + (if (ek > 0.5) 1 else 0)))
+    } else if (!cat(jx)) {
+      // case (b) cont|cont: conditional of a bivariate normal
+      val c = pair(jx * m + kx)
+      if (c == null) null
+      else {
+        val vk  = math.max(c.varY, 1e-9)
+        val rho = c.cov / math.sqrt(math.max(c.varX, 1e-9) * vk)
+        val r   = math.max(-0.999, math.min(0.999, rho))
+        CondDist(c.meanX + c.cov / vk * (ek - c.meanY), (1 - r * r) * math.max(c.varX, 1e-9), 1)
       }
-  }
+    } else {
+      // case (d) cat j | cont k: Bayes over P(e_k | e_j) normals + P(e_j)
+      val d1 = dist(cond((kx * m + jx) * 2 + 1)) // e_k | e_j = 1
+      val d0 = dist(cond((kx * m + jx) * 2))     // e_k | e_j = 0
+      val mj = marginal(jx)
+      if (d1 == null || d0 == null || mj == null) null
+      else {
+        val p1 = clampProb(mj.meanX)
+        val l1 = normalPdf(ek, d1.mean, math.max(d1.variance, 1e-6)) * p1
+        val l0 = normalPdf(ek, d0.mean, math.max(d0.variance, 1e-6)) * (1 - p1)
+        val pe = if (l1 + l0 <= 0) p1 else l1 / (l1 + l0)
+        CondDist(clampProb(pe), pe * (1 - pe), d1.n + d0.n)
+      }
+    }
 }
 
 object Correlation {
 
-  /** Estimate the correlation model from the answers and the current truth
-    * estimates, in one driver-side pass over the [[AnswerTable]]: each
-    * answer's error ([[errors]]), the per-attribute marginals, and, over
+  /** Estimate the correlation model from the answers of `res.table` and
+    * the result's truth estimates, in one driver-side pass over the table:
+    * each answer's error ([[errors]]), the per-attribute marginals, and, over
     * every ordered pair of one worker's answers on one row on different
     * attributes, the bivariate moments per attribute pair (for `W_jk` and the
     * cont|cont case) and the moments conditioned on a categorical attribute.
     *
-    * The moments sit in arrays over column positions (m x m pairs, m x m x 2
-    * conditionals). The contexts come from the table's row runs: per row,
-    * each worker's answers in ascending index order, the workers ascending,
-    * so every moment sees its samples in `(row, worker)` order.
-    *
-    * @param t   the answers `res` was inferred from
-    * @param res used for the truth estimates and normalization stats
+    * The moments sit in arrays over column positions (m x m pairs,
+    * m x m x 2 conditionals). The contexts come from the table's row runs:
+    * per row, each worker's answers in ascending index order, the workers
+    * ascending, so every moment sees its samples in `(row, worker)` order.
     */
-  def estimate(t: AnswerTable, res: TCrowdResult): CorrelationModel = {
-    val isCat = t.columns.map(c => c.col -> c.isCategorical).toMap
+  def estimate(res: TCrowdResult): CorrelationModel = {
+    val t = res.table
     val m = t.colIds.length
     val col = t.col
-    val e = errors(t, res)
+    val e = errors(res)
 
     val marginal = new Array[Moments](m)
     val pair = new Array[Moments](m * m)
@@ -208,46 +180,22 @@ object Correlation {
       start = end
     }
 
-    // Pearson W_jk (Eq. 8); a pair whose errors are constant gets W = 0.
-    def byId[K, V](ms: Array[Moments], key: Int => K)(v: Moments => V): Map[K, V] =
-      ms.indices.collect { case i if ms(i) != null => key(i) -> v(ms(i)) }.toMap
-    def ids(i: Int) = (t.colIds(i / m), t.colIds(i % m))
-    def dist(ms: Moments) = CondDist(ms.meanX, ms.varX, ms.n)
-    CorrelationModel(isCat,
-      byId(marginal, t.colIds(_))(dist),
-      byId(pair, ids)(_.correlation),
-      byId(cond, i => (t.colIds(i / 2 / m), t.colIds(i / 2 % m), i % 2))(dist),
-      byId(pair, ids)(ms => (ms.meanX, ms.meanY, ms.varX, ms.varY, ms.cov)))
+    new CorrelationModel(t.columns, marginal, pair, cond)
   }
 
-  /** The error of each answer of `t` vs the current truth estimate: 0/1 for
-    * categorical, signed difference for continuous, the answer normalized
-    * with `res.contStats` (paper §5.2 definitions). A cell without an
-    * estimate counts as truth 0 (continuous) or as answered correctly
-    * (categorical).
+  /** The error of each answer of `res.table` vs the result's estimate of its
+    * cell (paper §5.2 definitions): 0/1 against the argmax label for
+    * categorical, the signed difference from the posterior mean for
+    * continuous, in the table's normalized space.
     */
-  def errors(t: AnswerTable, res: TCrowdResult): Array[Double] = {
-    // Per cell, the estimate: the argmax label (-1 without a posterior) or the mean.
-    val label = new Array[Int](t.cellIds.length)
-    val mean = new Array[Double](t.cellIds.length)
-    for (c <- t.cellIds.indices) {
-      if (t.cellLabels(c) > 0) label(c) = res.catPosterior.get(t.cellIds(c)).fold(-1)(argmax)
-      else mean(c) = res.contPosterior.get(t.cellIds(c)).fold(0.0)(_._1)
-    }
-    val stats = t.colIds.map(res.contStats.get)
-    val e = new Array[Double](t.size)
-    var k = 0
-    while (k < t.size) {
+  def errors(res: TCrowdResult): Array[Double] = {
+    val t = res.table
+    val label = Array.tabulate(t.cellIds.length)(c => if (t.cellLabels(c) > 0) argmax(res.post(c)) else -1)
+    t.perAnswer { k =>
       val c = t.cell(k)
-      e(k) =
-        if (t.labels(k) == 0) {
-          val v = t.answers(k).value
-          stats(t.col(k)).fold(v) { case (mu, sd) => (v - mu) / sd } - mean(c)
-        }
-        else if (label(c) < 0 || label(c) == t.value(k).toInt) 0.0
-        else 1.0
-      k += 1
+      if (t.labels(k) == 0) t.value(k) - res.mu(c)
+      else if (label(c) == t.value(k).toInt) 0.0
+      else 1.0
     }
-    e
   }
 }

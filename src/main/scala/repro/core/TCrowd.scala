@@ -14,29 +14,38 @@ final case class TCrowdConfig(
     gdSteps: Int = 5,
 )
 
-/** Output of T-Crowd inference, keyed by the dataset's own row, column and
-  * worker ids. The assignment module (paper §5) copies it into the dense
-  * arrays of its [[Snapshot]] at each refresh.
+/** Output of T-Crowd inference: arrays over the dense cells, workers, rows
+  * and columns of the answer table it was inferred from. The assignment
+  * module (paper §5) copies it into the arrays of its [[Snapshot]] at each
+  * refresh, and the §5.2 correlation estimate reads it per answer.
   *
-  * @param contPosterior (row,col) -> (mu, var) of the truth posterior in
-  *                      normalized space
-  * @param catPosterior  (row,col) -> label distribution (index = label)
-  * @param phi           worker variance (normalized space)
-  * @param alpha         row difficulty, geometric mean 1
-  * @param beta          column difficulty, geometric mean 1
-  * @param contStats     per-column (mean, std) used for normalization
+  * @param table the answers the result was inferred from; its continuous
+  *              stats ([[AnswerTable.stats]]) define the normalized space
+  * @param mu    per cell of `table`, the truth posterior mean in normalized
+  *              space (a categorical cell has the prior's 0)
+  * @param tphi  per cell, the truth posterior variance (a categorical cell
+  *              has [[Model.PriorVar]])
+  * @param post  per cell, the label distribution, index = label (empty for
+  *              a continuous cell)
+  * @param phi   per worker of `table.workerIds`, the variance (normalized space)
+  * @param alpha per row of `table.rowIds`, the difficulty, geometric mean 1
+  * @param beta  per column position of `table.columns`, the difficulty,
+  *              geometric mean 1
   */
-final case class TCrowdResult(
-    estimatesLocal: Seq[TruthCell],
-    contPosterior: Map[(Int, Int), (Double, Double)],
-    catPosterior: Map[(Int, Int), Array[Double]],
-    phi: Map[Int, Double],
-    alpha: Map[Int, Double],
-    beta: Map[Int, Double],
-    contStats: Map[Int, (Double, Double)],
-    iterations: Int,
-    converged: Boolean,
-)
+final class TCrowdResult(val table: AnswerTable, val mu: Array[Double], val tphi: Array[Double],
+    val post: Array[Array[Double]], val phi: Array[Double], val alpha: Array[Double],
+    val beta: Array[Double], val iterations: Int, val converged: Boolean) {
+  require(Seq(mu.length, tphi.length, post.length).forall(_ == table.cellIds.length) &&
+    phi.length == table.workerIds.length && alpha.length == table.rowIds.length &&
+    beta.length == table.colIds.length, "a result has one value per cell, worker, row and column of its table")
+
+  /** The estimate of every cell of `table`, continuous cells first: the
+    * posterior mean mapped back to raw scale, or the argmax label.
+    */
+  lazy val estimatesLocal: Seq[TruthCell] =
+    (table.contCells.map(c => table.estimate(c, mu(c))) ++
+      table.catCells.map(c => table.estimate(c, argmax(post(c)).toDouble))).toSeq
+}
 
 /** T-Crowd truth inference (paper §4): EM over a unified worker model.
   *
@@ -176,15 +185,7 @@ private final class Em(t: AnswerTable) {
       converged = maxDelta < Tol
     }
 
-    val est = t.contCells.map(c => t.estimate(c, mu(c))) ++
-      t.catCells.map(c => t.estimate(c, argmax(post(c)).toDouble))
-    def params(ids: Array[Int], ln: Array[Double]): Map[Int, Double] =
-      ids.indices.map(i => ids(i) -> math.exp(ln(i))).toMap
-
-    TCrowdResult(est.toSeq,
-      t.contCells.map(c => t.cellIds(c) -> (mu(c), tphi(c))).toMap,
-      t.catCells.map(c => t.cellIds(c) -> post(c)).toMap,
-      params(t.workerIds, lnPhi), params(t.rowIds, lnAlpha), params(t.colIds, lnBeta),
-      t.stats, iter, converged)
+    new TCrowdResult(t, mu, tphi, post, lnPhi.map(math.exp), lnAlpha.map(math.exp), lnBeta.map(math.exp),
+      iter, converged)
   }
 }

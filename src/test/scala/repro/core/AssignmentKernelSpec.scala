@@ -39,6 +39,7 @@ class AssignmentKernelSpec extends CrowdSpec {
     var predictedPicks = 0
     private var ref: MapState = _
     private var seen = 0
+    private var corr: CorrelationModel = _
 
     private def sync(st: AssignState): Unit = {
       if (ref == null) {
@@ -54,7 +55,10 @@ class AssignmentKernelSpec extends CrowdSpec {
         if (st.snapshot.res ne ref.snapshot.res) ref.snapshot.refresh(st.snapshot.res)
       }
       seen = st.log.size
-      ref.corr = st.corr
+      if (st.corr.orNull ne corr) {
+        corr = st.corr.orNull
+        ref.corr = st.corr.map(CorrelationMaps(_))
+      }
     }
 
     private def score(st: AssignState, u: Int, i: Int, j: Int): Double = {
@@ -136,9 +140,9 @@ class AssignmentKernelSpec extends CrowdSpec {
     def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
       picks += 1
       if (st.corr.exists(c => !lastCorr.exists(_ eq c))) {
-        val want = CorrelationReference.estimate(Model.answerTable(st.snapshot.columns, st.log), st.snapshot.res)
+        val want = CorrelationReference.estimate(st.snapshot.res)
         models += 1
-        if (st.corr.get != want) mismatches += s"pick $picks: correlation model differs from the reference"
+        if (CorrelationMaps(st.corr.get) != want) mismatches += s"pick $picks: correlation model differs from the reference"
         lastCorr = st.corr
       }
       check(st, u, "before")

@@ -53,22 +53,26 @@ object AssignmentReference {
     shannonEntropy(answers) + qc * math.log(qc) + (1.0 - qc) * math.log(wrong)
   }
 
-  /** Posteriors keyed by `(row, col)`; unseen cells are uniform / prior. */
+  /** Posteriors keyed by `(row, col)`, copied from the map view of `res`
+    * ([[ResultMaps]]); unseen cells are uniform / prior.
+    */
   final class MapSnapshot(var res: TCrowdResult, val labelCount: Map[Int, Int]) {
-    val contPost: mutable.Map[(Int, Int), (Double, Double)] = mutable.Map.from(res.contPosterior)
-    val catPost: mutable.Map[(Int, Int), Array[Double]]     = mutable.Map.from(res.catPosterior)
+    private var maps = ResultMaps(res)
+    val contPost: mutable.Map[(Int, Int), (Double, Double)] = mutable.Map.from(maps.contPosterior)
+    val catPost: mutable.Map[(Int, Int), Array[Double]]     = mutable.Map.from(maps.catPosterior)
 
     def refresh(r: TCrowdResult): Unit = {
       res = r
-      contPost.clear(); contPost ++= r.contPosterior
-      catPost.clear(); catPost ++= r.catPosterior
+      maps = ResultMaps(r)
+      contPost.clear(); contPost ++= maps.contPosterior
+      catPost.clear(); catPost ++= maps.catPosterior
     }
 
     def contOf(i: Int, j: Int): (Double, Double) = contPost.getOrElse((i, j), (0.0, Model.PriorVar))
 
     /** Answer variance `alpha_i * beta_j * phi_u` of worker u on cell (i, j); a missing parameter is 1. */
     def answerVariance(u: Int, i: Int, j: Int): Double =
-      res.alpha.getOrElse(i, 1.0) * res.beta.getOrElse(j, 1.0) * res.phi.getOrElse(u, 1.0)
+      maps.alpha.getOrElse(i, 1.0) * maps.beta.getOrElse(j, 1.0) * maps.phi.getOrElse(u, 1.0)
 
     def catOf(i: Int, j: Int): Array[Double] = {
       val l = labelCount(j)
@@ -79,7 +83,7 @@ object AssignmentReference {
       if (labelCount.getOrElse(j, 0) > 0) argmax(catOf(i, j)).toDouble
       else contOf(i, j)._1
 
-    def normalize(j: Int, v: Double): Double = Model.normalize(res.contStats, j, v)
+    def normalize(j: Int, v: Double): Double = Model.normalize(maps.contStats, j, v)
 
     def applyAnswer(u: Int, i: Int, j: Int, raw: Double): Unit = {
       val v = answerVariance(u, i, j)
@@ -95,9 +99,11 @@ object AssignmentReference {
     }
   }
 
-  /** The answered cells and row answers of a session, rebuilt from its log. */
+  /** The answered cells and row answers of a session, rebuilt from its log,
+    * and the session's correlation model as maps.
+    */
   final class MapState(val numRows: Int, val columns: Seq[ColumnSpec], val snapshot: MapSnapshot) {
-    var corr: Option[CorrelationModel] = None
+    var corr: Option[CorrelationMaps] = None
     val answeredBy: mutable.Map[Int, mutable.Set[(Int, Int)]] = mutable.Map.empty
     val rowAnswers: mutable.Map[(Int, Int), mutable.Buffer[(Int, Double)]] = mutable.Map.empty
 

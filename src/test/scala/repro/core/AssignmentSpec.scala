@@ -7,18 +7,21 @@ class AssignmentSpec extends CrowdSpec {
 
   private val columns = Seq(ColumnSpec(0, "c", 3), ColumnSpec(1, "x", 0))
 
-  private def mkResult(certainCat: Boolean = false): TCrowdResult = TCrowdResult(
-    estimatesLocal = Seq.empty,
+  /** Workers 0 and 1 answer every cell of the 2-row table. The continuous
+    * answers are -1 and +1, whose stats are exactly (0, 1), so a raw answer
+    * is its normalized value.
+    */
+  private val table = Model.answerTable(columns,
+    for (u <- 0 to 1; i <- 0 to 1; c <- columns) yield Answer(u, i, c.col, if (c.isCategorical) 0.0 else 2.0 * u - 1))
+
+  /** Alpha and beta are 1. */
+  private def mkResult(certainCat: Boolean = false): TCrowdResult = ResultMaps.result(table,
     contPosterior = Map((0, 1) -> (0.0, 1.0), (1, 1) -> (0.0, 0.001)),
     catPosterior = Map(
       (0, 0) -> (if (certainCat) Array(0.999, 0.0005, 0.0005)
                  else Array(0.34, 0.33, 0.33)),
       (1, 0) -> Array(0.998, 0.001, 0.001)),
-    phi = Map(0 -> 0.3, 1 -> 5.0),
-    alpha = Map(0 -> 1.0, 1 -> 1.0),
-    beta = Map(0 -> 1.0, 1 -> 1.0),
-    contStats = Map(1 -> (0.0, 1.0)),
-    iterations = 1, converged = true)
+    phi = Map(0 -> 0.3, 1 -> 5.0))
 
   private def mkState(res: TCrowdResult = mkResult()): AssignState =
     new AssignState(new Snapshot(res, 2, columns))
@@ -82,6 +85,29 @@ class AssignmentSpec extends CrowdSpec {
     snap.applyAnswer(0, 0, 1, 3.0)
     snap.refresh(mkResult())
     assert(snap.contOf(0, 1) == (0.0, 1.0))
+  }
+
+  test("Snapshot.refresh ignores the rows and columns of a result outside its table") {
+    // rows 0-3 and a column 7 outside the schema; the snapshot has rows 0-1
+    val wide = columns :+ ColumnSpec(7, "z", 0)
+    val t = Model.answerTable(wide, for (i <- 0 to 3; c <- wide) yield Answer(0, i, c.col, if (c.isCategorical) 1.0 else 0.0))
+    val r = ResultMaps.result(t,
+      contPosterior = (for (i <- 0 to 3; j <- Seq(1, 7)) yield (i, j) -> (i + 0.5, 0.25 * j)).toMap,
+      catPosterior = (for (i <- 0 to 3) yield (i, 0) -> Array(0.1, 0.1 * i, 0.9 - 0.1 * i)).toMap,
+      phi = Map(0 -> 0.5), alpha = Map(0 -> 2.0, 1 -> 0.5, 2 -> 3.0, 3 -> 4.0), beta = Map(0 -> 1.5, 1 -> 0.8, 7 -> 9.0))
+    val st = mkState()
+    val snap = st.snapshot
+    snap.refresh(r)
+    for (i <- 0 to 1) {
+      assert(snap.contOf(i, 1) == (i + 0.5, 0.25))
+      assert(snap.catOf(i, 0).toSeq == Seq(0.1, 0.1 * i, 0.9 - 0.1 * i))
+    }
+    assert(snap.answerVariance(snap.workerVariance(0), 0, 0) == 2.0 * 1.5 * 0.5)
+    assert(snap.answerVariance(1.0, 1, 1) == 0.5 * 0.8)
+    // rows 2 and 3 are outside the table: the prior, and no difficulty
+    assert(snap.contOf(2, 1) == (0.0, Model.PriorVar))
+    assert(snap.answerVariance(1.0, 3, 1) == 0.8)
+    assert(intercept[IllegalArgumentException](snap.contOf(0, 7)).getMessage == "column 7 is not in the schema")
   }
 
   test("a categorical answer that is not a label is rejected online, naming the cell") {
@@ -152,6 +178,7 @@ class AssignmentSpec extends CrowdSpec {
   }
 
   test("workerErrorsOnRow compares answers to the snapshot estimates") {
+    assert(table.stats == Map(1 -> (0.0, 1.0)))
     val st = mkState()
     st.record(Answer(3, 1, 0, 0.0)) // matches argmax 0 -> error 0
     st.record(Answer(3, 1, 1, 2.0)) // cont estimate 0.0 -> error 2.0
@@ -227,22 +254,21 @@ class AssignmentSpec extends CrowdSpec {
 
   test("structureAwareGain penalizes a worker who already erred on the row") {
     val st = mkState()
-    // correlation model: erring on attr 0 implies erring on attr 0' (self pair
-    // unused); build a model where e_0 observed=1 predicts high error on col 0
-    val model = CorrelationModel(
-      isCat = Map(0 -> true, 1 -> false),
-      marginal = Map(0 -> CondDist(0.3, 0.21, 100), 1 -> CondDist(0.0, 1.0, 100)),
-      weight = Map((0, 1) -> 0.8, (1, 0) -> 0.8),
-      condOnCat = Map.empty,
-      contPair = Map((1, 1) -> (0.0, 0.0, 1.0, 1.0, 0.8)),
-    )
-    // observing a continuous error of +2 on col 1 predicts cat error on col 0
-    // via Bayes — needs condOnCat entries for (1, 0, e0):
-    val model2 = model.copy(condOnCat = Map(
-      (1, 0, 1) -> CondDist(1.5, 0.5, 50), // e_1 | e_0 = 1 centered high
-      (1, 0, 0) -> CondDist(0.0, 0.5, 50),
-    ))
-    st.corr = Some(model2)
+    // observing a continuous error of +2 on col 1 predicts a cat error on
+    // col 0 via Bayes over e_1 | e_0 and the marginal of e_0, with W = 0.8
+    def moments(n: Long, mean: Double, variance: Double): MathUtil.Moments = {
+      val ms = new MathUtil.Moments
+      ms.n = n; ms.meanX = mean; ms.cxx = variance * n
+      ms
+    }
+    val pair = moments(100, 0.0, 1.0)
+    pair.cyy = 100; pair.cxy = 80
+    val model = new CorrelationModel(columns,
+      marginal = Array(moments(100, 0.3, 0.21), moments(100, 0.0, 1.0)),
+      pair = Array(null, pair, pair, null),
+      // e_1 | e_0 = 0 at (1 * 2 + 0) * 2, and e_1 | e_0 = 1 centered high
+      cond = Array(null, null, null, null, moments(50, 0.0, 0.5), moments(50, 1.5, 0.5), null, null))
+    st.corr = Some(model)
     st.record(Answer(7, 0, 1, 2.0)) // big continuous error on row 0
     val gStruct = structureAwareGain(st, 7, 0, 0)
     st.corr = None
@@ -265,6 +291,15 @@ class AssignmentSpec extends CrowdSpec {
     val picks = (1 to 10).map(_ => s.pick(st, 20).get).toSet
     assert(!picks.contains((0, 0)))
     assert(picks.contains((1, 1)))
+  }
+
+  test("CDAS and AskIt reject an observed answer outside the table, naming the cell") {
+    for ((i, j) <- Seq((5, 0), (0, 9));
+         s <- Seq[TallyStrategy](new CdasStrategy(catCols = Set(0)), new AskItStrategy(catCols = Set(0)))) {
+      s.observe(1, i, j, 0.0)
+      val e = intercept[IllegalArgumentException](s.pick(mkState(), 2))
+      assert(e.getMessage.contains(s"cell ($i, $j)"), s"${s.name}: ${e.getMessage}")
+    }
   }
 
   test("CDAS falls back to terminated cells when nothing else remains") {

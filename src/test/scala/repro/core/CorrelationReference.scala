@@ -6,17 +6,18 @@ import scala.collection.mutable
 /** The map-based §5.2 code that [[Correlation.estimate]] and
   * [[CorrelationModel.predict]] replaced, kept as the reference they must
   * equal exactly (`CorrelationSpec`, `AssignmentKernelSpec`): the errors
-  * look each answer's cell up in the result's maps, the estimate groups the
-  * answers by a `(row, worker)` tuple key and updates moments in tuple-keyed
-  * maps for every ordered pair of one worker's answers on one row, and the
-  * prediction looks every conditional up in the model's maps.
+  * look each answer's cell up in the result's maps ([[ResultMaps]]), the
+  * estimate groups the answers by a `(row, worker)` tuple key and updates
+  * moments in tuple-keyed maps for every ordered pair of one worker's
+  * answers on one row, and the prediction looks every conditional up in the
+  * model's maps ([[CorrelationMaps]]).
   */
 object CorrelationReference {
 
-  def estimate(t: AnswerTable, res: TCrowdResult): CorrelationModel = {
-    val isCat = t.columns.map(c => c.col -> c.isCategorical).toMap
-    val answers = t.answers
-    val e = errors(t, res)
+  def estimate(res: TCrowdResult): CorrelationMaps = {
+    val isCat = res.table.columns.map(c => c.col -> c.isCategorical).toMap
+    val answers = res.table.answers
+    val e = errors(res)
 
     val marginal = mutable.Map.empty[Int, Moments]
     val pair = mutable.Map.empty[(Int, Int), Moments]
@@ -34,11 +35,12 @@ object CorrelationReference {
     val weight = pair.map { case (jk, m) => jk -> m.correlation }.toMap
     val contPair = pair.map { case (jk, m) => jk -> (m.meanX, m.meanY, m.varX, m.varY, m.cov) }.toMap
     def dist(m: Moments) = CondDist(m.meanX, m.varX, m.n)
-    CorrelationModel(isCat, marginal.map { case (j, m) => j -> dist(m) }.toMap, weight,
+    CorrelationMaps(isCat, marginal.map { case (j, m) => j -> dist(m) }.toMap, weight,
       cond.map { case (c, m) => c -> dist(m) }.toMap, contPair)
   }
 
-  def errors(t: AnswerTable, res: TCrowdResult): Array[Double] = {
+  def errors(r: TCrowdResult): Array[Double] = {
+    val (t, res) = (r.table, ResultMaps(r))
     val catArg: Map[(Int, Int), Int] = res.catPosterior.map { case (c, p) => c -> argmax(p) }
     Array.tabulate(t.size) { k =>
       val a = t.answers(k)
@@ -50,10 +52,10 @@ object CorrelationReference {
     }
   }
 
-  private def w(cm: CorrelationModel, j: Int, k: Int): Double =
+  private def w(cm: CorrelationMaps, j: Int, k: Int): Double =
     math.max(math.abs(cm.weight.getOrElse((j, k), 0.0)), 1e-3)
 
-  def conditional(cm: CorrelationModel, j: Int, k: Int, ek: Double): Option[CondDist] = {
+  def conditional(cm: CorrelationMaps, j: Int, k: Int, ek: Double): Option[CondDist] = {
     val jCat = cm.isCat.getOrElse(j, false)
     val kCat = cm.isCat.getOrElse(k, false)
     if (kCat) {
@@ -80,7 +82,7 @@ object CorrelationReference {
     }
   }
 
-  def predict(cm: CorrelationModel, j: Int, observed: Seq[(Int, Double)]): Option[CondDist] = {
+  def predict(cm: CorrelationMaps, j: Int, observed: Seq[(Int, Double)]): Option[CondDist] = {
     val parts = observed.flatMap { case (k, ek) =>
       if (k == j) None else conditional(cm, j, k, ek).map(d => (w(cm, j, k), d))
     }

@@ -5,20 +5,17 @@ import scala.util.Random
 
 /** Structure-aware correlation model (paper §5.2, Tables 4/5). The fixtures
   * build answer sets with *known* error structure against a hand-made
-  * inference result, so every estimated quantity has a closed-form target.
+  * inference result over their table, so every estimated quantity has a
+  * closed-form target.
   */
 class CorrelationSpec extends CrowdSpec {
 
-  /** Columns: 0 cat(3), 1 cat(2), 2 cont, 3 cont. Truth: label 0 for cat,
-    * 0.0 for cont (contStats identity, so raw == normalized).
+  /** Columns: 0 cat(3), 1 cat(2), 2 cont, 3 cont. Truth on every cell of
+    * `t`: label 0 for cat, 0.0 in normalized space for cont.
     */
-  private def mkResult(rows: Int): TCrowdResult = {
-    val catPost = (for (i <- 0 until rows; j <- Seq(0, 1))
-      yield (i, j) -> (if (j == 0) Array(1.0, 0.0, 0.0) else Array(1.0, 0.0))).toMap
-    val contPost = (for (i <- 0 until rows; j <- Seq(2, 3)) yield (i, j) -> (0.0, 0.1)).toMap
-    TCrowdResult(Seq.empty, contPost, catPost, Map.empty, Map.empty, Map.empty,
-      Map(2 -> (0.0, 1.0), 3 -> (0.0, 1.0)), iterations = 1, converged = true)
-  }
+  private def mkResult(t: AnswerTable): TCrowdResult = ResultMaps.result(t,
+    contPosterior = t.cellIds.map(_ -> (0.0, 0.1)).toMap,
+    catPosterior = t.cellIds.map { case c @ (_, j) => c -> (if (j == 0) Array(1.0, 0.0, 0.0) else Array(1.0, 0.0)) }.toMap)
 
   private val columns = Seq(ColumnSpec(0, "c3", 3), ColumnSpec(1, "c2", 2),
                             ColumnSpec(2, "x", 0), ColumnSpec(3, "y", 0))
@@ -45,35 +42,39 @@ class CorrelationSpec extends CrowdSpec {
   }
 
   private lazy val ds = mkDataset(rows = 60, workers = 6)
-  private lazy val res = mkResult(60)
   private lazy val table = ds.table
-  private lazy val model = Correlation.estimate(table, res)
+  private lazy val res = mkResult(table)
+  private lazy val model = Correlation.estimate(res)
+  private lazy val maps = CorrelationMaps(model)
 
   private lazy val answers = table.answers
 
   test("errors(): categorical errors are 0/1, continuous errors are signed") {
-    val err = Correlation.errors(table, res)
+    val err = Correlation.errors(res)
     answers.indices.foreach { k =>
       val (a, e) = (answers(k), err(k))
       if (a.col <= 1) assert(e == (if (a.value == 0.0) 0.0 else 1.0))
-      else assert(e == a.value) // truth 0, identity stats
+      else {
+        val (mu, sd) = table.stats(a.col)
+        assert(e == (a.value - mu) / sd) // truth 0 in normalized space
+      }
     }
   }
 
   test("marginals, pair moments and conditionals on a categorical error match DuckDB (oracle-checked)") {
     import spark.implicits._
-    val err = Correlation.errors(table, res)
+    val err = Correlation.errors(res)
     val errs = answers.indices.map(k => (answers(k).worker, answers(k).row, answers(k).col, err(k)))
       .toDF("worker", "row", "col", "e")
     val e = "CAST(e AS DOUBLE)"
     Oracle.assertEquivalent(
-      model.marginal.toSeq.map { case (j, d) => (j, d.mean, d.variance, d.n) }.toDF("j", "m", "v", "n"),
+      maps.marginal.toSeq.map { case (j, d) => (j, d.mean, d.variance, d.n) }.toDF("j", "m", "v", "n"),
       s"SELECT CAST(col AS INT) AS j, avg($e) AS m, var_pop($e) AS v, count(*) AS n FROM errs GROUP BY 1",
       "errs" -> errs)
     val pairs = "FROM errs a JOIN errs b ON a.worker = b.worker AND a.row = b.row AND a.col <> b.col"
     val (ej, ek) = ("CAST(a.e AS DOUBLE)", "CAST(b.e AS DOUBLE)")
     Oracle.assertEquivalent(
-      model.contPair.toSeq.map { case ((j, k), (mj, mk, vj, vk, cov)) => (j, k, mj, mk, vj, vk, cov, model.weight((j, k))) }
+      maps.contPair.toSeq.map { case ((j, k), (mj, mk, vj, vk, cov)) => (j, k, mj, mk, vj, vk, cov, maps.weight((j, k))) }
         .toDF("j", "k", "muj", "muk", "vj", "vk", "cov", "w"),
       s"""SELECT CAST(a.col AS INT) AS j, CAST(b.col AS INT) AS k, avg($ej) AS muj, avg($ek) AS muk,
          |  var_pop($ej) AS vj, var_pop($ek) AS vk, covar_pop($ej, $ek) AS cov,
@@ -82,7 +83,7 @@ class CorrelationSpec extends CrowdSpec {
          |$pairs GROUP BY 1, 2""".stripMargin,
       "errs" -> errs)
     Oracle.assertEquivalent(
-      model.condOnCat.toSeq.map { case ((j, k, c), d) => (j, k, c, d.mean, d.variance, d.n) }
+      maps.condOnCat.toSeq.map { case ((j, k, c), d) => (j, k, c, d.mean, d.variance, d.n) }
         .toDF("j", "k", "ek", "m", "v", "n"),
       s"""SELECT CAST(a.col AS INT) AS j, CAST(b.col AS INT) AS k, CAST($ek AS INT) AS ek,
          |  avg($ej) AS m, var_pop($ej) AS v, count(*) AS n
@@ -90,11 +91,14 @@ class CorrelationSpec extends CrowdSpec {
       "errs" -> errs)
   }
 
-  test("errors equal the map-based reference bit for bit, with and without estimates") {
-    val partial = res.copy(catPosterior = res.catPosterior.filter(_._1._1 % 2 == 0),
-      contPosterior = res.contPosterior.filter(_._1._1 % 3 == 0), contStats = Map(2 -> (0.5, 2.0)))
-    for (r <- Seq(res, partial)) {
-      val (got, want) = (Correlation.errors(table, r), CorrelationReference.errors(table, r))
+  test("errors equal the map-based reference bit for bit") {
+    // estimates that vary by cell: label i % 2 and mean 0.1 * (i % 3) on row i
+    val varied = ResultMaps.result(table,
+      contPosterior = table.cellIds.map { case c @ (i, _) => c -> (0.1 * (i % 3), 0.1) }.toMap,
+      catPosterior = table.cellIds.map { case c @ (i, j) =>
+        c -> Array.tabulate(if (j == 0) 3 else 2)(z => if (z == i % 2) 1.0 else 0.0) }.toMap)
+    for (r <- Seq(res, varied)) {
+      val (got, want) = (Correlation.errors(r), CorrelationReference.errors(r))
       assert(got.map(java.lang.Double.doubleToLongBits).toSeq == want.map(java.lang.Double.doubleToLongBits).toSeq)
     }
   }
@@ -102,24 +106,24 @@ class CorrelationSpec extends CrowdSpec {
   test("estimate equals the map-based reference exactly, whatever the schema order") {
     val reordered = Model.answerTable(columns.reverse, answers)
     val constant = Model.answerTable(columns, for (i <- 0 until 3; j <- Seq(2, 3)) yield Answer(0, i, j, 0.1))
-    for ((name, t, r) <- Seq(("60-row", table, res), ("reversed schema", reordered, res),
-                             ("constant", constant, mkResult(3)))) {
-      val got = Correlation.estimate(t, r)
-      assert(got == CorrelationReference.estimate(t, r), name)
+    for ((name, t) <- Seq(("60-row", table), ("reversed schema", reordered), ("constant", constant))) {
+      val r = mkResult(t)
+      assert(CorrelationMaps(Correlation.estimate(r)) == CorrelationReference.estimate(r), name)
     }
-    assert(Correlation.estimate(reordered, res) == model)
+    assert(CorrelationMaps(Correlation.estimate(mkResult(reordered))) == maps)
   }
 
   test("conditional and predict equal the map-based reference exactly") {
     val r = new Random(5)
     val ids = Seq(0, 1, 2, 3, 99)
     def error(k: Int): Double = if (k <= 1) r.nextInt(2).toDouble else 3 * r.nextGaussian()
-    for (m <- Seq(model, model.copy(condOnCat = Map.empty));
+    val noCond = new CorrelationModel(model.columns, model.marginal, model.pair, new Array(model.cond.length))
+    for (m <- Seq(model, noCond); mm = CorrelationMaps(m);
          _ <- 0 until 300) {
       val obs = List.fill(r.nextInt(4))(ids(r.nextInt(ids.size))).map(k => (k, error(k)))
       for (j <- ids) {
-        assert(m.predict(j, obs) == CorrelationReference.predict(m, j, obs), s"j=$j obs=$obs")
-        for ((k, ek) <- obs) assert(m.conditional(j, k, ek) == CorrelationReference.conditional(m, j, k, ek))
+        assert(m.predict(j, obs) == CorrelationReference.predict(mm, j, obs), s"j=$j obs=$obs")
+        for ((k, ek) <- obs) assert(m.conditional(j, k, ek) == CorrelationReference.conditional(mm, j, k, ek))
       }
     }
   }
@@ -129,27 +133,27 @@ class CorrelationSpec extends CrowdSpec {
     val answers = for (i <- 0 until 3; j <- Seq(2, 3)) yield Answer(0, i, j, 0.1)
     val constant = CrowdDataset("const", Model.answersDf(spark, answers), columns,
       Model.truthDf(spark, Seq.empty))
-    val m = Correlation.estimate(constant.table, mkResult(3))
+    val m = CorrelationMaps(Correlation.estimate(mkResult(constant.table)))
     assert(m.marginal(2).variance == 0.0)
     assert(m.weight((2, 3)) == 0.0 && m.weight((3, 2)) == 0.0)
   }
 
   test("marginal error distributions are estimated per attribute") {
-    assert(model.marginal.keySet == Set(0, 1, 2, 3))
+    assert(maps.marginal.keySet == Set(0, 1, 2, 3))
     // cat marginal means are error rates in (0,1)
-    assert(model.marginal(0).mean > 0.2 && model.marginal(0).mean < 0.6)
+    assert(maps.marginal(0).mean > 0.2 && maps.marginal(0).mean < 0.6)
     // cont marginal near N(0,1)-ish
-    assert(math.abs(model.marginal(2).mean) < 0.2)
+    assert(math.abs(maps.marginal(2).mean) < 0.2)
   }
 
   test("W_jk is strongly positive for the correlated continuous pair") {
-    val w = model.weight((3, 2))
+    val w = maps.weight((3, 2))
     info(f"W(3,2) = $w%.3f")
     assert(w > 0.6)
   }
 
   test("W_jk is strongly positive for the co-failing categorical pair") {
-    val w = model.weight((1, 0))
+    val w = maps.weight((1, 0))
     info(f"W(1,0) = $w%.3f")
     assert(w > 0.4)
   }
@@ -168,7 +172,7 @@ class CorrelationSpec extends CrowdSpec {
     assert(atPlus.mean > 1.0)
     assert(atMinus.mean < -1.0)
     // conditional variance is far below the marginal variance
-    assert(atPlus.variance < model.marginal(3).variance * 0.5)
+    assert(atPlus.variance < maps.marginal(3).variance * 0.5)
   }
 
   test("cont|cat conditional: continuous error given a categorical error") {

@@ -113,16 +113,18 @@ class InfoGainSpec extends AnyFunSuite {
 
   // ---------------------------------------------------------------- snapshot
 
-  private def fakeSnapshot: Snapshot = new Snapshot(TCrowdResult(
-    estimatesLocal = Seq.empty,
-    contPosterior = Map((0, 1) -> (0.0, 0.5)),
-    catPosterior = Map((0, 0) -> Array(0.6, 0.4)),
-    phi = Map(7 -> 0.5, 8 -> 4.0),
-    alpha = Map(0 -> 1.0),
-    beta = Map(0 -> 1.0, 1 -> 1.0),
-    contStats = Map(1 -> (0.0, 1.0)),
-    iterations = 1, converged = true), numRows = 1,
-    columns = Seq(ColumnSpec(0, "c", 2), ColumnSpec(1, "x", 0)))
+  /** Workers 7 and 8 answer both cells of one row; the continuous answers
+    * -1 and +1 give the stats (0, 1). Alpha and beta are 1.
+    */
+  private def fakeSnapshot: Snapshot = {
+    val columns = Seq(ColumnSpec(0, "c", 2), ColumnSpec(1, "x", 0))
+    val t = Model.answerTable(columns, Seq(Answer(7, 0, 0, 0.0), Answer(8, 0, 0, 0.0),
+      Answer(7, 0, 1, -1.0), Answer(8, 0, 1, 1.0)))
+    new Snapshot(ResultMaps.result(t,
+      contPosterior = Map((0, 1) -> (0.0, 0.5)),
+      catPosterior = Map((0, 0) -> Array(0.6, 0.4)),
+      phi = Map(7 -> 0.5, 8 -> 4.0)), numRows = 1, columns)
+  }
 
   private def g(u: Int, i: Int, j: Int): Double = {
     val snap = fakeSnapshot

@@ -52,7 +52,7 @@ class TCrowdKernelSpec extends CrowdSpec {
   for ((name, mk, cfg) <- runs) {
     test(s"kernel agrees with the Spark reference EM to 1e-9 on $name") {
       val ds = mk()
-      val got = TCrowd.infer(ds, cfg)
+      val got = ResultMaps(TCrowd.infer(ds, cfg))
       val ref = TCrowdSparkReference.infer(ds, cfg)
       info(s"${got.iterations} iterations, converged=${got.converged}")
       assert(got.iterations == ref.iterations && got.converged == ref.converged, name)
@@ -95,7 +95,7 @@ class TCrowdKernelSpec extends CrowdSpec {
       ("shuffled" -> withAnswers(new Random(3).shuffle(answers), 4))
     val runs = variants.map { case (name, ds) =>
       val res = TCrowd.infer(ds, cfg)
-      (name, res, Correlation.estimate(ds.table, res))
+      (name, ResultMaps(res), CorrelationMaps(Correlation.estimate(res)))
     }
     val (_, res0, corr0) = runs.head
     runs.tail.foreach { case (name, res, corr) =>
@@ -119,7 +119,7 @@ class TCrowdKernelSpec extends CrowdSpec {
     assert(long == 1) // the collect of CrowdDataset.table
     assert(jobsOf(TCrowd.infer(ds, cfg)) == 0) // the table is kept
     val res = TCrowd.infer(ds.table, cfg)
-    assert(jobsOf(Correlation.estimate(ds.table, res)) == 0)
+    assert(jobsOf(Correlation.estimate(res)) == 0)
   }
 
   private val table7Methods: Seq[InferenceMethod] = {
@@ -137,7 +137,7 @@ class TCrowdKernelSpec extends CrowdSpec {
     }
     val ds = mixed.copy()
     val res = TCrowd.infer(ds.table, tc)
-    assert(jobsOf(Correlation.estimate(ds.table, res)) == 0)
+    assert(jobsOf(Correlation.estimate(res)) == 0)
     assert(jobsOf(Metrics.evaluate(ds, res.estimatesLocal)) == 1) // the truth
     assert(jobsOf(Metrics.evaluate(ds, res.estimatesLocal)) == 0)
     assert(jobsOf(Metrics.evaluate(ds.table, ds.truthCells, res.estimatesLocal)) == 0)

@@ -15,7 +15,7 @@ import repro.core.TCrowd.{Eps, Lr, Tol}
   */
 object TCrowdSparkReference {
 
-  def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult = {
+  def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): ResultMaps = {
     val labelCount = ds.labelCount.filter(_._2 > 0)
 
     // --- normalized, typed answer relation (cached once) ------------------
@@ -154,7 +154,7 @@ object TCrowdSparkReference {
       contPost.map { case ((i, j), (mu, _)) => TruthCell(i, j, Model.denormalize(stats, j, mu)) }.toSeq ++
       catPost.map { case ((i, j), probs) => TruthCell(i, j, argmax(probs).toDouble) }.toSeq
 
-    TCrowdResult(est, contPost, catPost,
+    ResultMaps(est, contPost, catPost,
       lnPhi.map { case (k, v) => k -> math.exp(v) },
       lnAlpha.map { case (k, v) => k -> math.exp(v) },
       lnBeta.map { case (k, v) => k -> math.exp(v) },

@@ -23,9 +23,10 @@ class TCrowdSpec extends CrowdSpec {
   ))
   private lazy val ds = sim.dataset(spark)
   private lazy val res = TCrowd.infer(ds, TCrowdConfig(maxIters = 10, gdSteps = 4))
+  private lazy val maps = ResultMaps(res)
 
   test("categorical posteriors are distributions over the full label set") {
-    res.catPosterior.foreach { case ((_, j), p) =>
+    maps.catPosterior.foreach { case ((_, j), p) =>
       val l = if (j == 0) 6 else 3
       assert(p.length == l)
       assert(math.abs(p.sum - 1.0) < 1e-9)
@@ -34,21 +35,21 @@ class TCrowdSpec extends CrowdSpec {
   }
 
   test("continuous posteriors have positive variance") {
-    res.contPosterior.values.foreach { case (_, tphi) => assert(tphi > 0) }
+    maps.contPosterior.values.foreach { case (_, tphi) => assert(tphi > 0) }
   }
 
   test("worker qualities are probabilities") {
-    res.phi.values.foreach { p =>
+    res.phi.foreach { p =>
       val q = MathUtil.quality(TCrowd.Eps, p)
       assert(q > 0 && q < 1)
     }
   }
 
   test("row and column difficulties are positive with geometric mean 1") {
-    assert(res.alpha.values.forall(_ > 0))
-    assert(res.beta.values.forall(_ > 0))
-    val ga = res.alpha.values.map(math.log).sum / res.alpha.size
-    val gb = res.beta.values.map(math.log).sum / res.beta.size
+    assert(res.alpha.forall(_ > 0))
+    assert(res.beta.forall(_ > 0))
+    val ga = res.alpha.map(math.log).sum / res.alpha.length
+    val gb = res.beta.map(math.log).sum / res.beta.length
     assert(math.abs(ga) < 1e-6)
     assert(math.abs(gb) < 1e-6)
   }
@@ -56,18 +57,18 @@ class TCrowdSpec extends CrowdSpec {
   private lazy val snap = new Snapshot(res, sim.cfg.numRows, ds.columns)
 
   test("Snapshot.answerVariance is the alpha*beta*phi product") {
-    val u = res.phi.keys.head
-    val i = res.alpha.keys.head
-    val j = res.beta.keys.head
-    val expected = res.alpha(i) * res.beta(j) * res.phi(u)
+    val u = maps.phi.keys.head
+    val i = maps.alpha.keys.head
+    val j = maps.beta.keys.head
+    val expected = maps.alpha(i) * maps.beta(j) * maps.phi(u)
     assert(math.abs(snap.answerVariance(snap.workerVariance(u), i, j) - expected) < 1e-12)
   }
 
   test("Snapshot answer quality decreases with row difficulty") {
-    val phi = snap.workerVariance(res.phi.keys.head)
-    val j = res.beta.keys.head
-    val easy = res.alpha.minBy(_._2)._1
-    val hard = res.alpha.maxBy(_._2)._1
+    val phi = snap.workerVariance(maps.phi.keys.head)
+    val j = maps.beta.keys.head
+    val easy = maps.alpha.minBy(_._2)._1
+    val hard = maps.alpha.maxBy(_._2)._1
     assert(quality(TCrowd.Eps, snap.answerVariance(phi, easy, j)) >=
       quality(TCrowd.Eps, snap.answerVariance(phi, hard, j)))
   }
@@ -92,9 +93,9 @@ class TCrowdSpec extends CrowdSpec {
   }
 
   test("estimated row difficulty correlates with simulated difficulty") {
-    val common = res.alpha.keySet.intersect(sim.rowAlpha.keySet).toSeq
+    val common = maps.alpha.keySet.intersect(sim.rowAlpha.keySet).toSeq
     val m = new MathUtil.Moments
-    common.foreach(i => m.add(math.log(sim.rowAlpha(i)), math.log(res.alpha(i))))
+    common.foreach(i => m.add(math.log(sim.rowAlpha(i)), math.log(maps.alpha(i))))
     val c = m.correlation
     info(f"corr(log true alpha, log est alpha) = $c%.3f")
     assert(c > 0.2)
@@ -103,7 +104,7 @@ class TCrowdSpec extends CrowdSpec {
   test("inference is deterministic") {
     val res2 = TCrowd.infer(ds, TCrowdConfig(maxIters = 10, gdSteps = 4))
     assert(res.estimatesLocal.toSet == res2.estimatesLocal.toSet)
-    assert(res.phi == res2.phi)
+    assert(maps.phi == ResultMaps(res2).phi)
   }
 
   test("onlyCate restriction estimates only categorical cells") {
@@ -139,7 +140,7 @@ class TCrowdSpec extends CrowdSpec {
     val sparse = TCrowd.infer(
       new CrowdSim(sim.cfg.copy(answersPerTask = 2, name = "sparse")).dataset(spark),
       TCrowdConfig(maxIters = 6, gdSteps = 3))
-    def avgVar(r: TCrowdResult) = r.contPosterior.values.map(_._2).sum / r.contPosterior.size
+    def avgVar(r: TCrowdResult) = r.table.contCells.map(r.tphi).sum / r.table.contCells.length
     info(f"avg posterior var: dense=${avgVar(dense)}%.4f sparse=${avgVar(sparse)}%.4f")
     assert(avgVar(dense) < avgVar(sparse))
   }
