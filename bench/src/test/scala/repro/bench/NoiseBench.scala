@@ -10,7 +10,7 @@ import repro.experiments.Experiments
   */
 class NoiseBench extends CrowdSpec {
 
-  private lazy val (rows, rendered) = Experiments.noise(spark, Seq(0.1, 0.2, 0.3, 0.4))
+  private lazy val (rows, rendered) = Experiments.noise(spark)
 
   private def score(g: Double, m: String) =
     rows.find(_._1 == g).get._2.find(_.method == m).get
@@ -18,7 +18,7 @@ class NoiseBench extends CrowdSpec {
   test("Figure 10 table renders and is archived") {
     println(rendered)
     Experiments.writeReport("fig10_noise.txt", rendered)
-    assert(rows.size == 4)
+    assert(rows.map(_._1) == Experiments.noiseLevels)
   }
 
   test("error rate rises with the noise level for T-Crowd") {
@@ -30,17 +30,17 @@ class NoiseBench extends CrowdSpec {
   }
 
   test("T-Crowd stays within CRH's error rate at every noise level (paper: very similar)") {
-    for (g <- Seq(0.1, 0.2, 0.3, 0.4))
+    for (g <- Experiments.noiseLevels)
       assert(score(g, "T-Crowd").errorRate <= score(g, "CRH").errorRate + 0.02, s"gamma=$g")
   }
 
   test("T-Crowd stays within GTM's MNAD at every noise level (paper: very similar)") {
-    for (g <- Seq(0.1, 0.2, 0.3, 0.4))
+    for (g <- Experiments.noiseLevels)
       assert(score(g, "T-Crowd").mnad <= score(g, "GTM").mnad + 0.05, s"gamma=$g")
   }
 
   test("metrics remain finite and sane under heavy noise") {
-    for (g <- Seq(0.1, 0.2, 0.3, 0.4); m <- Seq("T-Crowd", "CRH")) {
+    for (g <- Experiments.noiseLevels; m <- Seq("T-Crowd", "CRH")) {
       val s = score(g, m)
       assert(s.errorRate >= 0 && s.errorRate <= 1)
       assert(s.mnad >= 0 && s.mnad < 3)

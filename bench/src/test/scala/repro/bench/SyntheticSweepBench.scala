@@ -14,23 +14,16 @@ import repro.experiments.Experiments.Score
   */
 class SyntheticSweepBench extends CrowdSpec {
 
-  private lazy val mSweep: Seq[(String, Seq[Score])] = Seq(5, 10, 20).map { m =>
-    s"M=$m" -> Experiments.sweepPoint(spark, Experiments.sweepConfig(m, 0.5, 1.0))
-  }
-  private lazy val rSweep: Seq[(String, Seq[Score])] = Seq(0.0, 0.5, 1.0).map { r =>
-    s"R=$r" -> Experiments.sweepPoint(spark, Experiments.sweepConfig(10, r, 1.0))
-  }
-  private lazy val dSweep: Seq[(String, Seq[Score])] = Seq(0.5, 1.0, 3.0).map { d =>
-    s"mu=$d" -> Experiments.sweepPoint(spark, Experiments.sweepConfig(10, 0.5, d))
-  }
+  private lazy val (mSweep, mRendered) = Experiments.sweep(spark, Experiments.columnSweep)
+  private lazy val (rSweep, rRendered) = Experiments.sweep(spark, Experiments.ratioSweep)
+  private lazy val (dSweep, dRendered) = Experiments.sweep(spark, Experiments.difficultySweep)
 
   private def tcrowd(rows: Seq[(String, Seq[Score])], key: String): Score =
     rows.find(_._1 == key).get._2.find(_.method == "T-Crowd").get
 
   test("Figure 7 sweep renders and is archived") {
-    val rendered = Experiments.renderSweep("Figure 7 (as table): effect of #columns", mSweep)
-    println(rendered)
-    Experiments.writeReport("fig7_columns.txt", rendered)
+    println(mRendered)
+    Experiments.writeReport("fig7_columns.txt", mRendered)
     assert(mSweep.size == 3)
   }
 
@@ -48,9 +41,8 @@ class SyntheticSweepBench extends CrowdSpec {
   }
 
   test("Figure 8 sweep renders and is archived") {
-    val rendered = Experiments.renderSweep("Figure 8 (as table): effect of categorical ratio", rSweep)
-    println(rendered)
-    Experiments.writeReport("fig8_ratio.txt", rendered)
+    println(rRendered)
+    Experiments.writeReport("fig8_ratio.txt", rRendered)
   }
 
   test("error rate is stable across the categorical ratio (Fig 8 trend)") {
@@ -66,9 +58,8 @@ class SyntheticSweepBench extends CrowdSpec {
   }
 
   test("Figure 9 sweep renders and is archived") {
-    val rendered = Experiments.renderSweep("Figure 9 (as table): effect of average difficulty", dSweep)
-    println(rendered)
-    Experiments.writeReport("fig9_difficulty.txt", rendered)
+    println(dRendered)
+    Experiments.writeReport("fig9_difficulty.txt", dRendered)
   }
 
   test("higher difficulty degrades every method (Fig 9 trend)") {

@@ -12,12 +12,12 @@ import repro.experiments.Experiments
   */
 class ThroughputBench extends CrowdSpec {
 
-  private lazy val (points, rendered) = Experiments.throughput(spark, Seq(2000, 8000, 32000))
+  private lazy val (points, rendered) = Experiments.throughput(spark)
 
   test("Figure 12b table renders and is archived") {
     println(rendered)
     Experiments.writeReport("fig12b_throughput.txt", rendered)
-    assert(points.size == 3)
+    assert(points.map(_._1) == Experiments.throughputSizes)
   }
 
   test("throughput is positive at all sizes") {

@@ -1,7 +1,6 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.crowd.SimConfig
 import repro.experiments.Experiments
 
 /** spark-submit entrypoint: reproduces one group of artifacts and prints
@@ -11,7 +10,8 @@ import repro.experiments.Experiments
   *   - `table6`     Table 6 (dataset statistics)
   *   - `table7`     Table 7 (truth-inference effectiveness of all 11 methods)
   *   - `assignment [rows] [maxAvg]`  Fig 5 (assignment heuristics) and Fig 2
-  *     (end-to-end systems); defaults 48 rows, 3.0 answers per task
+  *     (end-to-end systems); defaults `Experiments.onlineRows` rows and
+  *     `Experiments.onlineMaxAvg` answers per task
   *   - `synthetic`  Fig 7/8/9 sweeps, Fig 10 noise study, Fig 12b throughput
   *
   * `SPARK_MASTER` (default `local[*]`) and `SPARK_SHUFFLE_PARTITIONS`
@@ -37,25 +37,15 @@ object Main {
       case "table6" => println(Experiments.table6(spark)._2)
       case "table7" => println(Experiments.table7(spark)._2)
       case "assignment" =>
-        val rows = args.lift(1).map(_.toInt).getOrElse(48)
-        val maxAvg = args.lift(2).map(_.toDouble).getOrElse(3.0)
+        val rows = args.lift(1).map(_.toInt).getOrElse(Experiments.onlineRows)
+        val maxAvg = args.lift(2).map(_.toDouble).getOrElse(Experiments.onlineMaxAvg)
         println(Experiments.assignmentHeuristics(spark, rows, maxAvg)._2)
         println(Experiments.endToEnd(spark, rows, maxAvg)._2)
-      case "synthetic" => synthetic(spark)
+      case "synthetic" =>
+        for (s <- Seq(Experiments.columnSweep, Experiments.ratioSweep, Experiments.difficultySweep))
+          println(Experiments.sweep(spark, s)._2)
+        println(Experiments.noise(spark)._2)
+        println(Experiments.throughput(spark)._2)
     } finally spark.stop()
-  }
-
-  private def synthetic(spark: SparkSession): Unit = {
-    def sweep(title: String, points: Seq[(String, SimConfig)]): Unit =
-      println(Experiments.renderSweep(title,
-        points.map { case (label, cfg) => label -> Experiments.sweepPoint(spark, cfg) }))
-    sweep("Figure 7 (as table): effect of #columns",
-      Seq(5, 10, 20).map(m => s"M=$m" -> Experiments.sweepConfig(m, 0.5, 1.0)))
-    sweep("Figure 8 (as table): effect of categorical ratio",
-      Seq(0.0, 0.5, 1.0).map(r => s"R=$r" -> Experiments.sweepConfig(10, r, 1.0)))
-    sweep("Figure 9 (as table): effect of average difficulty",
-      Seq(0.5, 1.0, 3.0).map(d => s"mu=$d" -> Experiments.sweepConfig(10, 0.5, d)))
-    println(Experiments.noise(spark)._2)
-    println(Experiments.throughput(spark)._2)
   }
 }

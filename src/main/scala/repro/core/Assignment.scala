@@ -305,7 +305,7 @@ object AssignState {
 }
 
 /** Uniform-random assignment (the CRH/CATD/CrowdDB setting in the paper). */
-final class RandomStrategy(seed: Long = 1L) extends AssignStrategy {
+final class RandomStrategy(seed: Long) extends AssignStrategy {
   val name = "Random"
   private val rng = new Random(seed)
   def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
@@ -374,12 +374,13 @@ final class StructGainStrategy extends AssignStrategy {
 /** Base of CDAS and AskIt, which score a cell by the answers they observed
   * on it, tallied in arrays in the [[Snapshot]]'s cell layout. `observe` has
   * no session state to size them by: it queues the answer, and each pick
-  * first tallies the queue, in the order observed. The pick that tallies an
-  * answer on a cell outside the table throws an `IllegalArgumentException`
-  * naming the cell.
+  * first tallies the queue in the order observed, each answer taken off it
+  * before it is checked. An answer on a cell outside the table, or a
+  * categorical one that is not a [[Model.label]], is dropped: the pick that
+  * reaches it throws an `IllegalArgumentException` naming the cell.
   */
 sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
-  private val queued = mutable.ArrayBuffer.empty[Answer]
+  private val queued = mutable.Queue.empty[Answer]
   // per cell: in catCols?, votes per label, answers, sum, sum of squares, rescore; the sums per column
   protected var categorical: Array[Boolean] = _
   protected var votes: Array[Array[Int]] = _
@@ -399,30 +400,30 @@ sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
       count = new Array(n); sum = new Array(n); sumSq = new Array(n); score = new Array(n)
       colCount = new Array(m); colSum = new Array(m); colSumSq = new Array(m)
     }
-    for (a <- queued; k = st.snapshot.index(a.row, a.col); v = a.value) {
+    while (queued.nonEmpty) {
+      val a = queued.dequeue()
+      val (k, v) = (st.snapshot.index(a.row, a.col), a.value)
       require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${st.snapshot.numRows}-row table")
-      count(k) += 1
       if (categorical(k)) votes(k)(Model.label(a.row, a.col, v, votes(k).length)) += 1
       else { sum(k) += v; sumSq(k) += v * v; colCount(k % m) += 1; colSum(k % m) += v; colSumSq(k % m) += v * v }
+      count(k) += 1
       score(k) = rescore(k)
     }
-    queued.clear()
   }
 }
 
 /** CDAS [20]: tasks whose current estimate is confident are terminated; the
   * next task is random among non-terminated ones. A cell with at least
-  * `minAnswers` answers is confident if its leading vote share reaches
-  * `voteShare` (categorical) or its standard error `sqrt(v / n)` is at most
-  * `semRatio` times its answer spread `sqrt(v)` (continuous). The spread
-  * cancels, so the continuous rule holds only once `n >= (1 / semRatio)^2`
-  * (16 at the default) or when the cell's answers are all the same: in a
-  * session of at most 4 answers per cell, only identical answers terminate
-  * a continuous cell. A terminated cell scores 1.
+  * `MinAnswers` answers is confident if its leading vote share reaches
+  * `VoteShare` (categorical) or its standard error `sqrt(v / n)` is at most
+  * `SemRatio` times its answer spread `sqrt(v)` (continuous). The spread
+  * cancels, so the continuous rule holds only once `n >= (1 / SemRatio)^2
+  * = 16` or when the cell's answers are all the same: in a session of at
+  * most 4 answers per cell, only identical answers terminate a continuous
+  * cell. A terminated cell scores 1.
   */
-final class CdasStrategy(catCols: Set[Int], seed: Long = 2L, minAnswers: Int = 3,
-                         voteShare: Double = 0.8, semRatio: Double = 0.25)
-    extends TallyStrategy(catCols) {
+final class CdasStrategy(catCols: Set[Int], seed: Long = 2L) extends TallyStrategy(catCols) {
+  import CdasStrategy.{MinAnswers, SemRatio, VoteShare}
   val name = "CDAS"
   private val rng = new Random(seed)
 
@@ -430,9 +431,9 @@ final class CdasStrategy(catCols: Set[Int], seed: Long = 2L, minAnswers: Int = 3
     val n = count(k)
     val mean = sum(k) / n
     val v = math.max(sumSq(k) / n - mean * mean, 0.0)
-    val terminated = n >= minAnswers && (
-      if (categorical(k)) votes(k).max / n >= voteShare
-      else math.sqrt(v / n) <= semRatio * math.max(math.sqrt(v), 1e-9))
+    val terminated = n >= MinAnswers && (
+      if (categorical(k)) votes(k).max / n >= VoteShare
+      else math.sqrt(v / n) <= SemRatio * math.max(math.sqrt(v), 1e-9))
     if (terminated) 1.0 else 0.0
   }
 
@@ -445,6 +446,9 @@ final class CdasStrategy(catCols: Set[Int], seed: Long = 2L, minAnswers: Int = 3
     Some(pool(rng.nextInt(pool.size)))
   }
 }
+
+/** CDAS's termination thresholds, described on the class. */
+object CdasStrategy { val MinAnswers = 3; val VoteShare = 0.8; val SemRatio = 0.25 }
 
 /** AskIt! [5]: next task = highest uncertainty, measured on the raw answer
   * distribution (vote entropy / differential entropy of the sample-mean
@@ -480,7 +484,7 @@ final case class SimPoint(avgAnswersPerTask: Double, errorRate: Double, mnad: Do
 
 /** Configuration of an online-assignment simulation run. */
 final case class SimRunConfig(
-    maxAvgAnswers: Double = 4.0,
+    maxAvgAnswers: Double,
     checkpointEvery: Double = 0.5,
     tcrowd: TCrowdConfig = TCrowdConfig(maxIters = 8, gdSteps = 3),
     /** metric inference at checkpoints; None = reuse the T-Crowd refresh */
@@ -528,7 +532,7 @@ object Assignment {
     * callers that pass it, among them the perfbench harness.
     */
   def simulate(sim: CrowdSim, @unused spark: SparkSession, strategy: AssignStrategy,
-               cfg: SimRunConfig = SimRunConfig()): Seq[SimPoint] = {
+               cfg: SimRunConfig): Seq[SimPoint] = {
     val columns = sim.columnSpecs
     val truth = sim.allTruth
     val nCells = sim.cfg.numRows * columns.size
@@ -594,5 +598,5 @@ object Assignment {
     * first refresh (uniform/prior posteriors, unit parameters).
     */
   private[core] val emptyResult: TCrowdResult =
-    TCrowd.infer(Model.answerTable(Seq.empty, Nil), TCrowdConfig(maxIters = 0))
+    TCrowd.infer(Model.answerTable(Seq.empty, Nil), TCrowdConfig(maxIters = 0, gdSteps = 0))
 }

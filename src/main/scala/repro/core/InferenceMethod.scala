@@ -12,17 +12,17 @@ trait InferenceMethod {
 }
 
 /** T-Crowd as an [[InferenceMethod]] (full / only-categorical / only-continuous). */
-final case class TCrowdMethod(cfg: TCrowdConfig = TCrowdConfig()) extends InferenceMethod {
+final case class TCrowdMethod(cfg: TCrowdConfig) extends InferenceMethod {
   val name = "T-Crowd"
   def infer(t: AnswerTable): Seq[TruthCell] = TCrowd.infer(t, cfg).estimatesLocal
 }
 
-final case class TCrowdOnlyCate(cfg: TCrowdConfig = TCrowdConfig()) extends InferenceMethod {
+final case class TCrowdOnlyCate(cfg: TCrowdConfig) extends InferenceMethod {
   val name = "TC-onlyCate"
   def infer(t: AnswerTable): Seq[TruthCell] = TCrowd.infer(t.restrictTo(_.isCategorical), cfg).estimatesLocal
 }
 
-final case class TCrowdOnlyCont(cfg: TCrowdConfig = TCrowdConfig()) extends InferenceMethod {
+final case class TCrowdOnlyCont(cfg: TCrowdConfig) extends InferenceMethod {
   val name = "TC-onlyCont"
   def infer(t: AnswerTable): Seq[TruthCell] = TCrowd.infer(t.restrictTo(_.isContinuous), cfg).estimatesLocal
 }

@@ -4,15 +4,13 @@ import repro.core.MathUtil._
 
 /** Configuration of the T-Crowd EM truth-inference algorithm (paper §4).
   * The remaining model constants are in [[TCrowd]] and [[Model.PriorVar]].
+  * Every run states both settings; the archived runs' are in `Experiments`.
   *
   * @param maxIters  cap on EM iterations (paper observes w < 20)
   * @param gdSteps   gradient-ascent steps per M-step (paper observes v < 20;
   *                  a handful suffice because the E-step re-centers targets)
   */
-final case class TCrowdConfig(
-    maxIters: Int = 15,
-    gdSteps: Int = 5,
-)
+final case class TCrowdConfig(maxIters: Int, gdSteps: Int)
 
 /** Output of T-Crowd inference: arrays over the dense cells, workers, rows
   * and columns of the answer table it was inferred from. The assignment
@@ -67,15 +65,15 @@ object TCrowd {
   val Tol = 5e-3
 
   /** T-Crowd on [[CrowdDataset.table]]: one Spark job on the dataset's first read, none after. */
-  def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
+  def infer(ds: CrowdDataset, cfg: TCrowdConfig): TCrowdResult =
     infer(ds.table, cfg)
 
   /** TC-onlyCate of Table 7: T-Crowd restricted to categorical columns. */
-  def inferOnlyCategorical(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
+  def inferOnlyCategorical(ds: CrowdDataset, cfg: TCrowdConfig): TCrowdResult =
     infer(ds.table.restrictTo(_.isCategorical), cfg)
 
   /** TC-onlyCont of Table 7: T-Crowd restricted to continuous columns. */
-  def inferOnlyContinuous(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult =
+  def inferOnlyContinuous(ds: CrowdDataset, cfg: TCrowdConfig): TCrowdResult =
     infer(ds.table.restrictTo(_.isContinuous), cfg)
 
   /** T-Crowd on an already collected answer table; runs no Spark job. */

@@ -27,10 +27,7 @@ final case class SimColumn(name: String, numLabels: Int, lo: Double = 0.0,
   * not recognize the entity of row i is bad at every cell of row i, like
   * worker u3 in the paper's Table 2). A `spammerFrac` of workers has large
   * inherent variance, mirroring AMT's long-tail quality distribution.
-  *
-  * @param participationSkew >0 skews which workers answer tasks (Zipf-ish
-  *                          weights), producing the long-tail participation
-  *                          observed on AMT
+  * The generator's fixed constants are in the `CrowdSim` companion.
   */
 final case class SimConfig(
     name: String,
@@ -40,10 +37,7 @@ final case class SimConfig(
     answersPerTask: Int,
     seed: Long = 42L,
     spammerFrac: Double = 0.15,
-    alphaSd: Double = 0.35,
     rowEffectSd: Double = 0.5,
-    participationSkew: Double = 0.8,
-    eps: Double = 1.0,
     /** Global average task difficulty mu{alpha_i beta_j} of §6.5.1 Fig. 9. */
     difficultyScale: Double = 1.0,
 ) {
@@ -56,6 +50,7 @@ final case class SimConfig(
   * pairs.
   */
 final class CrowdSim(val cfg: SimConfig) extends Serializable {
+  import CrowdSim.{AlphaSd, Eps, ParticipationSkew}
 
   private def rng(parts: Any*): Random =
     new Random(cfg.seed ^ MurmurHash3.orderedHash(parts.map(_.toString)).toLong << 17)
@@ -79,7 +74,7 @@ final class CrowdSim(val cfg: SimConfig) extends Serializable {
 
   /** Row difficulty alpha_i (lognormal, median 1). */
   val rowAlpha: Map[Int, Double] =
-    (0 until cfg.numRows).map(i => i -> math.exp(cfg.alphaSd * rng("alpha", i).nextGaussian())).toMap
+    (0 until cfg.numRows).map(i => i -> math.exp(AlphaSd * rng("alpha", i).nextGaussian())).toMap
 
   /** Ground truth of a cell (label index or raw continuous value). */
   def truthOf(i: Int, j: Int): Double = {
@@ -107,7 +102,7 @@ final class CrowdSim(val cfg: SimConfig) extends Serializable {
 
   /** Deterministic answer of worker u on cell (i,j), per the paper's model:
     * continuous ~ N(truth, variance * scale^2) clamped to the domain;
-    * categorical correct w.p. erf(eps/sqrt(2*variance)), otherwise uniform
+    * categorical correct w.p. erf(Eps/sqrt(2*variance)), otherwise uniform
     * over the wrong labels.
     */
   def answerFor(u: Int, i: Int, j: Int): Double = {
@@ -116,7 +111,7 @@ final class CrowdSim(val cfg: SimConfig) extends Serializable {
     val v = answerVariance(u, i, j)
     val t = truthOf(i, j)
     if (c.isCategorical) {
-      val q = MathUtil.quality(cfg.eps, v)
+      val q = MathUtil.quality(Eps, v)
       if (r.nextDouble() < q) t
       else {
         val wrong = r.nextInt(c.numLabels - 1)
@@ -130,7 +125,7 @@ final class CrowdSim(val cfg: SimConfig) extends Serializable {
 
   /** Long-tail participation weights (worker 0 most active). */
   private val participationWeights: IndexedSeq[Double] =
-    (0 until cfg.numWorkers).map(u => 1.0 / math.pow(u + 1.0, cfg.participationSkew))
+    (0 until cfg.numWorkers).map(u => 1.0 / math.pow(u + 1.0, ParticipationSkew))
 
   /** The workers assigned to cell (i,j) under AMT-style static assignment:
     * `answersPerTask` distinct workers sampled without replacement with
@@ -180,6 +175,15 @@ final class CrowdSim(val cfg: SimConfig) extends Serializable {
 }
 
 object CrowdSim {
+
+  /** The log-sd of the row difficulty alpha_i; the Zipf exponent of the
+    * participation weights (the long tail observed on AMT); and the band of
+    * a correct categorical answer, `erf(Eps / sqrt(2 * variance))`, which is
+    * the generator's own and not the model's [[TCrowd.Eps]].
+    */
+  val AlphaSd = 0.35
+  val ParticipationSkew = 0.8
+  val Eps = 1.0
 
   /** Noise injection of §6.5.2: alter a fraction `gamma` of answers — random
     * label for categorical, +N(0,1) in z-score space for continuous —

@@ -18,7 +18,7 @@ object Surrogates {
     * name/nationality/ethnicity categorical; age/height/notability/facial
     * continuous (§6.1).
     */
-  def celebrityConfig(seed: Long = 7L): SimConfig = SimConfig(
+  def celebrityConfig(): SimConfig = SimConfig(
     name = "Celebrity",
     numRows = 174,
     columns = Seq(
@@ -32,7 +32,7 @@ object Surrogates {
     ),
     numWorkers = 50,
     answersPerTask = 5,
-    seed = seed,
+    seed = 7L,
     // Celebrity is the paper's hardest categorical dataset (ER ~ 0.05);
     // without extra difficulty the surrogate's MV is near-perfect and the
     // quality model has nothing to correct.
@@ -65,7 +65,7 @@ object Surrogates {
     * attributes continuous: six emotions in [0,100], valence in [-100,100]
     * (§6.1).
     */
-  def emotionConfig(seed: Long = 13L): SimConfig = SimConfig(
+  def emotionConfig(): SimConfig = SimConfig(
     name = "Emotion",
     numRows = 100,
     columns = Seq(
@@ -79,17 +79,12 @@ object Surrogates {
     ),
     numWorkers = 38,
     answersPerTask = 10,
-    seed = seed,
+    seed = 13L,
   )
 
-  def celebrity(spark: SparkSession, seed: Long = 7L): CrowdDataset =
-    new CrowdSim(celebrityConfig(seed)).dataset(spark)
-
-  def restaurant(spark: SparkSession, seed: Long = 11L): CrowdDataset =
-    new CrowdSim(restaurantConfig(seed)).dataset(spark)
-
-  def emotion(spark: SparkSession, seed: Long = 13L): CrowdDataset =
-    new CrowdSim(emotionConfig(seed)).dataset(spark)
+  def celebrity(spark: SparkSession): CrowdDataset = new CrowdSim(celebrityConfig()).dataset(spark)
+  def restaurant(spark: SparkSession): CrowdDataset = new CrowdSim(restaurantConfig()).dataset(spark)
+  def emotion(spark: SparkSession): CrowdDataset = new CrowdSim(emotionConfig()).dataset(spark)
 
   def all(spark: SparkSession): Seq[CrowdDataset] =
     Seq(celebrity(spark), restaurant(spark), emotion(spark))

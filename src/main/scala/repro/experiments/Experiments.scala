@@ -17,8 +17,15 @@ object Experiments {
 
   final case class Score(method: String, dataset: String, errorRate: Double, mnad: Double)
 
-  /** Fast-but-faithful T-Crowd settings for the repeated bench runs. */
-  val benchCfg: TCrowdConfig = TCrowdConfig(maxIters = 10, gdSteps = 4)
+  // Each artifact's settings, stated once (EXPERIMENTS.md lists them; the sweeps'
+  // points are with their generator). The baselines run at their defaults.
+  val benchCfg: TCrowdConfig = TCrowdConfig(maxIters = 10, gdSteps = 4)     // Table 7, Figs 7-10
+  val onlineCfg: TCrowdConfig = TCrowdConfig(maxIters = 6, gdSteps = 3)     // each Fig 5 / Fig 2 refresh
+  val throughputCfg: TCrowdConfig = TCrowdConfig(maxIters = 5, gdSteps = 3) // the timed Fig 12b runs
+  val onlineRows = 48                                     // Fig 5 / Fig 2: the table's rows,
+  val onlineMaxAvg = 3.0                                  // and the answers per task a session collects
+  val noiseLevels: Seq[Double] = Seq(0.1, 0.2, 0.3, 0.4)  // Fig 10's gamma
+  val throughputSizes: Seq[Int] = Seq(2000, 8000, 32000)  // Fig 12b's |A|
 
   private def fmt(x: Double): String = if (x.isNaN) "   /  " else f"$x%.4f"
 
@@ -55,16 +62,14 @@ object Experiments {
   def continuousMethods(cfg: TCrowdConfig): Seq[InferenceMethod] =
     Seq(MedianBaseline, Gtm(), TCrowdOnlyCont(cfg))
 
-  /** Table 7: truth-inference effectiveness of all methods on all three
-    * surrogate datasets.
-    */
-  def table7(spark: SparkSession, cfg: TCrowdConfig = benchCfg): (Seq[Score], String) = {
+  /** Table 7: truth-inference effectiveness of all methods on the three surrogate datasets. */
+  def table7(spark: SparkSession): (Seq[Score], String) = {
     val scores =
       for {
         ds <- Surrogates.all(spark)
-        method <- heterogeneousMethods(cfg) ++
-          (if (ds.categoricalCols.nonEmpty) categoricalMethods(cfg) else Seq.empty) ++
-          (if (ds.continuousCols.nonEmpty) continuousMethods(cfg) else Seq.empty)
+        method <- heterogeneousMethods(benchCfg) ++
+          (if (ds.categoricalCols.nonEmpty) categoricalMethods(benchCfg) else Seq.empty) ++
+          (if (ds.continuousCols.nonEmpty) continuousMethods(benchCfg) else Seq.empty)
       } yield {
         val t0 = System.nanoTime()
         val (er, mn) = Metrics.evaluate(ds, method.infer(ds))
@@ -77,8 +82,8 @@ object Experiments {
   }
 
   def renderTable7(scores: Seq[Score]): String = {
-    val order = Seq("T-Crowd", "CRH", "CATD", "Maj. Voting", "EM", "GLAD", "Zencrowd",
-      "TC-onlyCate", "Median", "GTM", "TC-onlyCont")
+    val order = (heterogeneousMethods(benchCfg) ++ categoricalMethods(benchCfg) ++
+      continuousMethods(benchCfg)).map(_.name)
     val byKey = scores.map(s => (s.method, s.dataset) -> s).toMap
     val sb = new StringBuilder
     sb ++= "Table 7: Effectiveness of Truth Inference (measured on surrogates)\n"
@@ -100,29 +105,18 @@ object Experiments {
   /** Scaled-down Restaurant-shaped config for the online simulations (the
     * full 203-row surrogate would need ~25 EM refreshes per strategy).
     */
-  def onlineConfig(rows: Int = 48, seed: Long = 11L): SimConfig =
+  def onlineConfig(rows: Int = onlineRows, seed: Long = 11L): SimConfig =
     Surrogates.restaurantConfig(seed).copy(name = s"Restaurant-$rows", numRows = rows)
-
-  def heuristicStrategies: Seq[AssignStrategy] = Seq(
-    new RandomStrategy(1L),
-    new LoopingStrategy,
-    new EntropyStrategy,
-    new InherentGainStrategy,
-    new StructGainStrategy,
-  )
 
   /** Figure 5 (rendered as a table): Error Rate and MNAD vs answers-per-task
     * for the five assignment heuristics, all using T-Crowd inference.
     */
-  def assignmentHeuristics(spark: SparkSession, rows: Int = 48,
-                           maxAvg: Double = 3.0): (Map[String, Seq[SimPoint]], String) = {
+  def assignmentHeuristics(spark: SparkSession, rows: Int = onlineRows,
+                           maxAvg: Double = onlineMaxAvg): (Map[String, Seq[SimPoint]], String) = {
     val simCfg = onlineConfig(rows)
-    val runCfg = SimRunConfig(maxAvgAnswers = maxAvg, checkpointEvery = 0.5,
-      tcrowd = TCrowdConfig(maxIters = 6, gdSteps = 3))
-    val traces = heuristicStrategies.map { s =>
-      Console.err.println(s"[fig5] running ${s.name}")
-      s.name -> session("fig5", s.name, simCfg)(Assignment.simulate(new CrowdSim(simCfg), spark, s, runCfg))
-    }.toMap
+    val strategies = Seq(new RandomStrategy(1L), new LoopingStrategy, new EntropyStrategy,
+      new InherentGainStrategy, new StructGainStrategy)
+    val traces = strategies.map(s => s.name -> session(spark, "fig5", s.name, simCfg, s, maxAvg, None)).toMap
     (traces, renderTraces("Figure 5 (as table): assignment heuristics on Restaurant surrogate",
       traces))
   }
@@ -133,11 +127,10 @@ object Experiments {
     * (structure-aware IG + T-Crowd inference) vs CDAS, AskIt!, CRH, CATD
     * (the latter two assign randomly).
     */
-  def endToEnd(spark: SparkSession, rows: Int = 48,
-               maxAvg: Double = 3.0): (Map[String, Seq[SimPoint]], String) = {
+  def endToEnd(spark: SparkSession, rows: Int = onlineRows,
+               maxAvg: Double = onlineMaxAvg): (Map[String, Seq[SimPoint]], String) = {
     val simCfg = onlineConfig(rows, seed = 17L)
     val catCols = simCfg.columns.zipWithIndex.filter(_._1.isCategorical).map(_._2).toSet
-    val tcrowdCfg = TCrowdConfig(maxIters = 6, gdSteps = 3)
     val systems: Seq[(String, AssignStrategy, Option[InferenceMethod])] = Seq(
       ("T-Crowd", new StructGainStrategy, None),
       ("CDAS", new CdasStrategy(catCols), Some(VoteMedian)),
@@ -146,21 +139,22 @@ object Experiments {
       ("CATD", new RandomStrategy(8L), Some(Catd())),
     )
     val traces = systems.map { case (name, strat, inf) =>
-      Console.err.println(s"[fig2] running $name")
-      name -> session("fig2", name, simCfg)(Assignment.simulate(new CrowdSim(simCfg), spark, strat,
-        SimRunConfig(maxAvgAnswers = maxAvg, checkpointEvery = 0.5,
-          tcrowd = tcrowdCfg, inference = inf)))
+      name -> session(spark, "fig2", name, simCfg, strat, maxAvg, inf)
     }.toMap
     (traces, renderTraces("Figure 2 (as table): end-to-end system comparison", traces))
   }
 
-  /** Runs one online session on `cfg`'s table and reports on stderr its
-    * picks (the answers after the seeding round, one per cell), its
-    * checkpoints and its wall time.
+  /** One Fig 5 / Fig 2 session of `strategy` on `cfg`'s table, up to
+    * `maxAvg` answers per task with a checkpoint every 0.5 and T-Crowd
+    * refreshed at [[onlineCfg]]. It reports on stderr its picks (the answers
+    * after the seeding round, one per cell), its checkpoints and its wall time.
     */
-  private def session(tag: String, name: String, cfg: SimConfig)(run: => Seq[SimPoint]): Seq[SimPoint] = {
+  private def session(spark: SparkSession, tag: String, name: String, cfg: SimConfig, strategy: AssignStrategy,
+                      maxAvg: Double, inference: Option[InferenceMethod]): Seq[SimPoint] = {
+    Console.err.println(s"[$tag] running $name")
+    val run = SimRunConfig(maxAvgAnswers = maxAvg, checkpointEvery = 0.5, tcrowd = onlineCfg, inference = inference)
     val t0 = System.nanoTime()
-    val points = run
+    val points = Assignment.simulate(new CrowdSim(cfg), spark, strategy, run)
     val secs = (System.nanoTime() - t0) / 1e9
     val nCells = cfg.numRows * cfg.columns.size
     val picks = points.lastOption.fold(0L)(p => math.round((p.avgAnswersPerTask - 1.0) * nCells))
@@ -185,25 +179,37 @@ object Experiments {
     * cycles deterministically through U(2,10)'s support), continuous domain
     * [0,1000]; Celebrity-like worker pool.
     */
-  def sweepConfig(m: Int, r: Double, difficulty: Double, seed: Long = 29L): SimConfig = {
+  def sweepConfig(m: Int, r: Double, difficulty: Double): SimConfig = {
     val nCat = math.round(m * r).toInt
     val cols = (0 until m).map { j =>
       if (j < nCat) SimColumn(s"c$j", numLabels = 2 + (j * 3) % 9)
       else SimColumn(s"x$j", 0, lo = 0, hi = 1000)
     }
     SimConfig(s"sweep-M$m-R$r-D$difficulty", numRows = 40, columns = cols,
-      numWorkers = 50, answersPerTask = 5, seed = seed, difficultyScale = difficulty)
+      numWorkers = 50, answersPerTask = 5, seed = 29L, difficultyScale = difficulty)
   }
 
-  /** One sweep point: T-Crowd vs CRH vs CATD on a generated table. */
-  def sweepPoint(spark: SparkSession, cfg: SimConfig,
-                 tcrowdCfg: TCrowdConfig = benchCfg): Seq[Score] = {
-    val ds = new CrowdSim(cfg).dataset(spark)
-    heterogeneousMethods(tcrowdCfg).map { m =>
-      val (er, mn) = Metrics.evaluate(ds, m.infer(ds))
-      Console.err.println(f"[sweep] ${cfg.name}%-22s ${m.name}%-8s error=${fmt(er)} mnad=${fmt(mn)}")
-      Score(m.name, cfg.name, er, mn)
+  /** One §6.5.1 sweep: its figure's title and its labelled generator settings. */
+  final case class Sweep(title: String, points: Seq[(String, SimConfig)])
+
+  val columnSweep: Sweep = Sweep("Figure 7 (as table): effect of #columns",
+    Seq(5, 10, 20).map(m => s"M=$m" -> sweepConfig(m, 0.5, 1.0)))
+  val ratioSweep: Sweep = Sweep("Figure 8 (as table): effect of categorical ratio",
+    Seq(0.0, 0.5, 1.0).map(r => s"R=$r" -> sweepConfig(10, r, 1.0)))
+  val difficultySweep: Sweep = Sweep("Figure 9 (as table): effect of average difficulty",
+    Seq(0.5, 1.0, 3.0).map(d => s"mu=$d" -> sweepConfig(10, 0.5, d)))
+
+  /** Figures 7/8/9 (as tables): T-Crowd vs CRH vs CATD at each point of the sweep. */
+  def sweep(spark: SparkSession, s: Sweep): (Seq[(String, Seq[Score])], String) = {
+    val rows = s.points.map { case (label, cfg) =>
+      val ds = new CrowdSim(cfg).dataset(spark)
+      label -> heterogeneousMethods(benchCfg).map { m =>
+        val (er, mn) = Metrics.evaluate(ds, m.infer(ds))
+        Console.err.println(f"[sweep] ${cfg.name}%-22s ${m.name}%-8s error=${fmt(er)} mnad=${fmt(mn)}")
+        Score(m.name, cfg.name, er, mn)
+      }
     }
+    (rows, renderSweep(s.title, rows))
   }
 
   def renderSweep(title: String, rows: Seq[(String, Seq[Score])]): String = {
@@ -219,21 +225,19 @@ object Experiments {
   // ----------------------------------------------- Fig 10: noise robustness
 
   /** Figure 10 (as table): noise injected into the Celebrity surrogate. */
-  def noise(spark: SparkSession, gammas: Seq[Double] = Seq(0.1, 0.2, 0.3, 0.4),
-            tcrowdCfg: TCrowdConfig = benchCfg): (Seq[(Double, Seq[Score])], String) = {
+  def noise(spark: SparkSession): (Seq[(Double, Seq[Score])], String) = {
     val base = Surrogates.celebrity(spark)
-    val rows = gammas.map { g =>
+    val rows = noiseLevels.map { g =>
       val noisy = CrowdSim.addNoise(base, base.table.stats, g, seed = 101L)
-      val methods: Seq[InferenceMethod] = Seq(TCrowdMethod(tcrowdCfg), Crh(), Gtm())
+      val methods: Seq[InferenceMethod] = Seq(TCrowdMethod(benchCfg), Crh(), Gtm())
       g -> methods.map { m =>
         val (er, mn) = Metrics.evaluate(noisy, m.infer(noisy))
         Console.err.println(f"[noise] gamma=$g ${m.name}%-8s error=${fmt(er)} mnad=${fmt(mn)}")
         Score(m.name, noisy.name, er, mn)
       }
     }
-    val rendered = renderSweep("Figure 10 (as table): noise robustness on Celebrity surrogate",
-      rows.map { case (g, s) => (f"g=$g%.1f", s) })
-    (rows, rendered)
+    (rows, renderSweep("Figure 10 (as table): noise robustness on Celebrity surrogate",
+      rows.map { case (g, s) => (f"g=$g%.1f", s) }))
   }
 
   // ----------------------------------------------- Fig 12b: throughput
@@ -243,16 +247,15 @@ object Experiments {
     * answer table is collected before the clock starts, so the time is
     * T-Crowd's EM alone.
     */
-  def throughput(spark: SparkSession, sizes: Seq[Int] = Seq(2000, 8000, 32000))
-      : (Seq[(Int, Double)], String) = {
-    val points = sizes.map { n =>
+  def throughput(spark: SparkSession): (Seq[(Int, Double)], String) = {
+    val points = throughputSizes.map { n =>
       // rows scaled so that |A| = rows * cols(4) * apt(5) = n
       val rows = math.max(4, n / 20)
       val cfg = sweepConfig(m = 4, r = 0.5, difficulty = 1.0).copy(
         name = s"throughput-$n", numRows = rows)
       val t = new CrowdSim(cfg).dataset(spark).table
       val t0 = System.nanoTime()
-      TCrowd.infer(t, TCrowdConfig(maxIters = 5, gdSteps = 3))
+      TCrowd.infer(t, throughputCfg)
       val secs = (System.nanoTime() - t0) / 1e9
       val rate = n / secs
       Console.err.println(f"[throughput] |A|=$n -> $secs%.1f s (${rate}%.0f answers/s)")

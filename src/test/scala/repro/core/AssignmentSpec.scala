@@ -302,6 +302,42 @@ class AssignmentSpec extends CrowdSpec {
     }
   }
 
+  test("CDAS and AskIt report a rejected observed answer once and tally every other answer once") {
+    for (s <- Seq[TallyStrategy](new CdasStrategy(catCols = Set(0), seed = 5), new AskItStrategy(catCols = Set(0)))) {
+      val st = mkState()
+      s.observe(1, 0, 0, 1.0); s.observe(2, 5, 0, 1.0); s.observe(3, 0, 0, 1.0)
+      val e = intercept[IllegalArgumentException](s.pick(st, 20))
+      assert(e.getMessage.contains("cell (5, 0)"), s"${s.name}: ${e.getMessage}")
+      assert(s.pick(st, 20).isDefined, s.name)
+    }
+    // CDAS terminates a categorical cell at 3 unanimous answers: (0, 0) holds
+    // 2 after the two picks above, and the third terminates it
+    val st = mkState()
+    val s = new CdasStrategy(catCols = Set(0), seed = 5)
+    s.observe(1, 0, 0, 1.0); s.observe(2, 5, 0, 1.0); s.observe(3, 0, 0, 1.0)
+    intercept[IllegalArgumentException](s.pick(st, 20))
+    st.record(Answer(20, 0, 1, 0.0)); st.record(Answer(20, 1, 0, 0.0))
+    assert((1 to 20).map(_ => s.pick(st, 20).get).contains((0, 0)))
+    s.observe(4, 0, 0, 1.0)
+    assert((1 to 20).map(_ => s.pick(st, 20).get).toSet == Set((1, 1)))
+  }
+
+  test("CDAS terminates a continuous cell at 3 identical answers or 16 distinct ones") {
+    // worker 20 has two open cells, the continuous (0, 1) and (1, 1): CDAS
+    // picks (0, 1) only while it is not terminated
+    def terminated(answers: Seq[Double]): Boolean = {
+      val st = mkState()
+      val s = new CdasStrategy(catCols = Set(0), seed = 6)
+      for ((v, u) <- answers.zipWithIndex) s.observe(u, 0, 1, v)
+      st.record(Answer(20, 0, 0, 0.0)); st.record(Answer(20, 1, 0, 0.0))
+      !(1 to 20).map(_ => s.pick(st, 20).get).contains((0, 1))
+    }
+    assert(!terminated(Seq(5.0, 5.0)))
+    assert(terminated(Seq(5.0, 5.0, 5.0)))
+    for (n <- 3 to 15) assert(!terminated((1 to n).map(_.toDouble)), s"$n distinct answers")
+    assert(terminated((1 to 16).map(_.toDouble)))
+  }
+
   test("CDAS falls back to terminated cells when nothing else remains") {
     val st = mkState()
     val s = new CdasStrategy(catCols = Set(0), seed = 4)

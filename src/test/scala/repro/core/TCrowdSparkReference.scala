@@ -15,7 +15,7 @@ import repro.core.TCrowd.{Eps, Lr, Tol}
   */
 object TCrowdSparkReference {
 
-  def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): ResultMaps = {
+  def infer(ds: CrowdDataset, cfg: TCrowdConfig): ResultMaps = {
     val labelCount = ds.labelCount.filter(_._2 > 0)
 
     // --- normalized, typed answer relation (cached once) ------------------

@@ -69,5 +69,8 @@ class ExperimentsSpec extends CrowdSpec {
     assert(Experiments.categoricalMethods(cfg).map(_.name) ==
       Seq("Maj. Voting", "EM", "GLAD", "Zencrowd", "TC-onlyCate"))
     assert(Experiments.continuousMethods(cfg).map(_.name) == Seq("Median", "GTM", "TC-onlyCont"))
+    val rows = Experiments.renderTable7(Seq.empty).linesIterator.drop(4).map(_.split('|')(1).trim).toSeq
+    assert(rows == Seq("T-Crowd", "CRH", "CATD", "Maj. Voting", "EM", "GLAD", "Zencrowd",
+      "TC-onlyCate", "Median", "GTM", "TC-onlyCont"))
   }
 }
