@@ -375,9 +375,10 @@ final class StructGainStrategy extends AssignStrategy {
   * on it, tallied in arrays in the [[Snapshot]]'s cell layout. `observe` has
   * no session state to size them by: it queues the answer, and each pick
   * first tallies the queue in the order observed, each answer taken off it
-  * before it is checked. An answer on a cell outside the table, or a
-  * categorical one that is not a [[Model.label]], is dropped: the pick that
-  * reaches it throws an `IllegalArgumentException` naming the cell.
+  * before it is checked. An answer on a cell outside the table, a
+  * categorical one that is not a [[Model.label]] or a continuous one that is
+  * not finite is dropped: the pick that reaches it throws an
+  * `IllegalArgumentException` naming the cell, as [[AssignState.record]] does.
   */
 sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
   private val queued = mutable.Queue.empty[Answer]
@@ -405,7 +406,10 @@ sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
       val (k, v) = (st.snapshot.index(a.row, a.col), a.value)
       require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${st.snapshot.numRows}-row table")
       if (categorical(k)) votes(k)(Model.label(a.row, a.col, v, votes(k).length)) += 1
-      else { sum(k) += v; sumSq(k) += v * v; colCount(k % m) += 1; colSum(k % m) += v; colSumSq(k % m) += v * v }
+      else {
+        require(java.lang.Double.isFinite(v), s"answer $v on cell (${a.row}, ${a.col}) is not a finite number")
+        sum(k) += v; sumSq(k) += v * v; colCount(k % m) += 1; colSum(k % m) += v; colSumSq(k % m) += v * v
+      }
       count(k) += 1
       score(k) = rescore(k)
     }

@@ -309,6 +309,12 @@ class AssignmentSpec extends CrowdSpec {
       val e = intercept[IllegalArgumentException](s.pick(st, 20))
       assert(e.getMessage.contains("cell (5, 0)"), s"${s.name}: ${e.getMessage}")
       assert(s.pick(st, 20).isDefined, s.name)
+      for (v <- Seq(Double.NaN, Double.PositiveInfinity)) { // on the continuous cell (1, 1), worded as record words it
+        s.observe(4, 1, 1, v)
+        val f = intercept[IllegalArgumentException](s.pick(st, 20)).getMessage
+        assert(f == intercept[IllegalArgumentException](st.record(Answer(4, 1, 1, v))).getMessage, s"${s.name}: $f")
+        assert(f.contains("cell (1, 1)") && s.pick(st, 20).isDefined, s"${s.name}: $f")
+      }
     }
     // CDAS terminates a categorical cell at 3 unanimous answers: (0, 0) holds
     // 2 after the two picks above, and the third terminates it

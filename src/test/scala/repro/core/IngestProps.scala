@@ -73,6 +73,11 @@ object IngestProps extends Properties("Ingest") {
     answers <- answersOf(cols)
   } yield (cols, answers)
 
+  /** A relation without bad answers: one answer per worker and cell, which the answer table accepts. */
+  private[core] val goodRelation: Gen[(Seq[ColumnSpec], Seq[Answer])] =
+    relation.map { case (cols, as) => (cols, as.distinctBy(a => (a.worker, a.row, a.col))) }
+      .suchThat { case (cols, as) => Try(Model.answerTable(cols, as)).isSuccess }
+
   /** Every public array and E-step of the new table `t` against the reference `r`. */
   private def sameTable(cols: Seq[ColumnSpec], t: AnswerTable, r: IngestReference.Table): Prop = {
     def q(k: Int): Double = MathUtil.clampProb(0.5 + 0.49 * math.sin(k * 1.7))
@@ -145,8 +150,7 @@ object IngestProps extends Properties("Ingest") {
   }
 
   property("evaluate equals the map-based reference bit for bit") =
-    Prop.forAllNoShrink(relation.map { case (cols, as) => (cols, as.distinctBy(a => (a.worker, a.row, a.col))) }
-      .suchThat { case (cols, as) => Try(Model.answerTable(cols, as)).isSuccess }) { case (cols, answers) =>
+    Prop.forAllNoShrink(goodRelation) { case (cols, answers) =>
       val t = Model.answerTable(cols, answers)
       val r = IngestReference.table(cols, answers)
       Prop.forAllNoShrink(scoring(t)) { case (truth, est) =>

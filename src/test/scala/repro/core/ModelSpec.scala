@@ -74,21 +74,12 @@ class ModelSpec extends CrowdSpec {
   }
 
   test("continuousStats is empty for all-categorical datasets") {
-    val ds = tinyDs
-    val catOnly = restrictTo(ds, ds.categoricalCols, "cat")
-    assert(continuousStats(catOnly).isEmpty)
+    assert(tinyDs.table.restrictTo(_.isCategorical).stats.isEmpty)
   }
 
   test("restrictTo filters answers and truth") {
-    val ds = tinyDs
-    val catOnly = restrictTo(ds, ds.categoricalCols, "cat")
-    assert(catOnly.answers.count() == 3)
-    assert(catOnly.truth.count() == 1)
-    assert(catOnly.name == "tiny-cat")
-    val contOnly = restrictTo(ds, ds.continuousCols, "cont")
-    assert(contOnly.answers.count() == 5)
-    assert(contOnly.truth.count() == 2)
     // the answer-table restriction behind TC-onlyCate / TC-onlyCont
+    val ds = tinyDs
     val t = ds.table
     assert(t.restrictTo(_.isCategorical).size == 3 && t.restrictTo(_.isCategorical).columns == ds.categoricalCols)
     assert(t.restrictTo(_.isContinuous).size == 5 && t.restrictTo(_.isContinuous).columns == ds.continuousCols)
