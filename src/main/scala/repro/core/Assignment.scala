@@ -489,7 +489,7 @@ final case class SimPoint(avgAnswersPerTask: Double, errorRate: Double, mnad: Do
 /** Configuration of an online-assignment simulation run. */
 final case class SimRunConfig(
     maxAvgAnswers: Double,
-    checkpointEvery: Double = 0.5,
+    checkpointEvery: Double,
     tcrowd: TCrowdConfig = TCrowdConfig(maxIters = 8, gdSteps = 3),
     /** metric inference at checkpoints; None = reuse the T-Crowd refresh */
     inference: Option[InferenceMethod] = None,

@@ -102,8 +102,8 @@ object Experiments {
 
   // ----------------------------------------------- Fig 5: assignment heuristics
 
-  /** Scaled-down Restaurant-shaped config for the online simulations (the
-    * full 203-row surrogate would need ~25 EM refreshes per strategy).
+  /** Restaurant-shaped config for the online simulations, by default at the 48 rows of the archived
+    * Fig 5/Fig 2 tables and recorded SimPoints, not for speed (at 203 rows a figure takes 1.3-2.0 s).
     */
   def onlineConfig(rows: Int = onlineRows, seed: Long = 11L): SimConfig =
     Surrogates.restaurantConfig(seed).copy(name = s"Restaurant-$rows", numRows = rows)

@@ -2,17 +2,18 @@ package repro.core
 
 import repro.CrowdSpec
 import repro.baselines.VoteMedian
-import repro.core.AssignmentReference.{MapSnapshot, MapState}
+import repro.core.MathUtil.argmax
 import repro.crowd.CrowdSim
 import repro.experiments.Experiments
 import scala.collection.mutable
 
-/** The dense pick ([[AssignState.bestOpenCell]] over the array-backed
-  * [[Snapshot]]) against the map-based scoring it replaced
-  * ([[AssignmentReference]]), in whole online sessions on the Restaurant
-  * surrogate of `Experiments.onlineConfig`. The reference scores a
-  * categorical cell by Eq. 6 as an expectation and the pick by its closed
-  * form, so the two gains agree to rounding (1e-12) and the cells exactly.
+/** The online session against the definitions it implements, in whole
+  * sessions on the Restaurant surrogate of `Experiments.onlineConfig`: at
+  * every pick, the snapshot is the Eq. 3/4 posterior of the session's log
+  * under the last refresh's parameters ([[TCrowdOracle.eStep]]), the open
+  * cells and a worker's row errors (§5.2) follow from the log, and the pick
+  * is the argmax of the strategy's score computed afresh; the memoized
+  * gains equal fresh ones, and the correlation model its map-based reference.
   */
 class AssignmentKernelSpec extends CrowdSpec {
 
@@ -20,10 +21,23 @@ class AssignmentKernelSpec extends CrowdSpec {
     tcrowd = TCrowdConfig(maxIters = 6, gdSteps = 3))
   private val settings = for (rows <- Seq(12, 48); seed <- Seq(11L, 17L)) yield (rows, seed)
 
-  /** Delegates to `inner` and, before each of its picks, scores the same
-    * session state with the reference: a map-based mirror of the snapshot
-    * (the same refreshes, the same answers applied) and of the answered
-    * cells, read from the session's log.
+  private def close(a: Double, b: Double): Boolean = math.abs(a - b) <= 1e-9 * math.max(1.0, math.abs(a))
+
+  /** Delegates to `inner` and, before each of its picks for worker u, checks
+    * the session state (`st.log`, the snapshot, the open cells) against
+    * their definitions:
+    *   (a) every cell's snapshot posterior is, within 1e-9, the E-step of
+    *       paper Eq. 3/4 over the cell's answers in the log, at the
+    *       parameters of the last refresh (1 for a worker, row or column it
+    *       does not cover) and with its continuous stats: a refresh copies
+    *       that E-step and each later answer adds its term (§5.1);
+    *   (b) u's open cells are every cell, rows first and then `columns`,
+    *       less the cells u answered in the log;
+    *   (c) u's errors on each row are §5.2's, from u's answers in the log
+    *       and the snapshot's reads: 0/1 against the argmax label, or the
+    *       z-normalized answer less the posterior mean;
+    *   (d) the pick is the first open cell whose score, computed afresh,
+    *       is greatest under `java.lang.Double.compare`.
     */
   private final class Checked(inner: AssignStrategy) extends AssignStrategy {
     def name: String = inner.name
@@ -33,33 +47,8 @@ class AssignmentKernelSpec extends CrowdSpec {
 
     val mismatches = mutable.Buffer.empty[String]
     var picks = 0
-    /** The largest gap between a picked cell's gain and the reference's. */
-    var largestGap = 0.0
-    /** Picks whose chosen cell the reference scored with the §5.2 prediction. */
+    /** Picks whose chosen cell was scored with the §5.2 prediction. */
     var predictedPicks = 0
-    private var ref: MapState = _
-    private var seen = 0
-    private var corr: CorrelationModel = _
-
-    private def sync(st: AssignState): Unit = {
-      if (ref == null) {
-        val snap = st.snapshot
-        ref = new MapState(snap.numRows, snap.columns,
-          new MapSnapshot(snap.res, snap.columns.map(c => c.col -> c.numLabels).toMap))
-        st.log.foreach(ref.record)
-      } else {
-        st.log.drop(seen).foreach { a =>
-          ref.record(a)
-          ref.snapshot.applyAnswer(a.worker, a.row, a.col, a.value)
-        }
-        if (st.snapshot.res ne ref.snapshot.res) ref.snapshot.refresh(st.snapshot.res)
-      }
-      seen = st.log.size
-      if (st.corr.orNull ne corr) {
-        corr = st.corr.orNull
-        ref.corr = st.corr.map(CorrelationMaps(_))
-      }
-    }
 
     private def score(st: AssignState, u: Int, i: Int, j: Int): Double = {
       val s = st.snapshot
@@ -70,21 +59,51 @@ class AssignmentKernelSpec extends CrowdSpec {
       }
     }
 
+    /** (a): the cells whose snapshot posterior is not the E-step of the log. */
+    private def posteriorGaps(st: AssignState): Seq[String] = {
+      val snap = st.snapshot
+      val res = ResultMaps(snap.res)
+      def ln(m: Map[Int, Double]) = m.map { case (k, v) => k -> math.log(v) }.withDefaultValue(0.0)
+      val post = TCrowdOracle.eStep(snap.columns, TCrowdOracle.normalized(res.contStats, st.log.toSeq),
+        TCrowdOracle.Params(ln(res.phi), ln(res.alpha), ln(res.beta)))
+      for {
+        i <- 0 until snap.numRows
+        c <- snap.columns
+        cell = (i, c.col)
+        (got, want) = if (c.isCategorical)
+          (snap.catOf(i, c.col).toSeq, post.cat.get(cell).fold(Seq.fill(c.numLabels)(1.0 / c.numLabels))(_.toSeq))
+        else {
+          val ((mu, v), (wMu, wV)) = (snap.contOf(i, c.col), post.cont.getOrElse(cell, (0.0, Model.PriorVar)))
+          (Seq(mu, v), Seq(wMu, wV))
+        }
+        if got.length != want.length || !got.lazyZip(want).forall(close)
+      } yield s"cell $cell: snapshot $got, Eq. 3/4 $want"
+    }
+
     def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
-      sync(st)
-      val want = AssignmentReference.pick(name, ref, u)
-      val got = inner.pick(st, u)
       picks += 1
-      (got, want) match {
-        case (Some((i, j)), Some((cell, gain))) =>
-          val g = score(st, u, i, j)
-          val gap = math.abs(g - gain)
-          largestGap = math.max(largestGap, gap)
-          val same = if (name == "Entropy") g == gain else gap <= 1e-12
-          if ((i, j) != cell || !same) mismatches += s"pick $picks of worker $u: ($i, $j) gain $g, reference $cell gain $gain"
-          if (AssignmentReference.predicted(ref, u, i, j).nonEmpty) predictedPicks += 1
-        case (None, None) =>
-        case _ => mismatches += s"pick $picks of worker $u: $got, reference $want"
+      val at = s"pick $picks of worker $u"
+      val snap = st.snapshot
+      mismatches ++= posteriorGaps(st).map(g => s"$at: $g")
+      val mine = st.log.toSeq.filter(_.worker == u)
+      val done = mine.map(a => (a.row, a.col)).toSet
+      val open = for (i <- 0 until snap.numRows; c <- snap.columns if !done((i, c.col))) yield (i, c.col)
+      if (st.availableCells(u) != open) mismatches += s"$at: open cells ${st.availableCells(u)}, defined $open"
+      for (i <- 0 until snap.numRows) {
+        val want = mine.filter(_.row == i).map { a =>
+          a.col -> (if (snap.isCategorical(a.col)) { if (argmax(snap.catOf(i, a.col)) == a.value.toInt) 0.0 else 1.0 }
+                    else Model.normalize(snap.res.table.stats, a.col, a.value) - snap.contOf(i, a.col)._1)
+        }
+        if (st.workerErrorsOnRow(u, i) != want) mismatches += s"$at: errors on row $i ${st.workerErrorsOnRow(u, i)}, defined $want"
+      }
+      val scores = open.map { case (i, j) => score(st, u, i, j) }
+      val best = scores.maxOption(Ordering.Double.TotalOrdering)
+      val first = best.fold(-1)(b => scores.indexWhere(java.lang.Double.compare(_, b) == 0))
+      val got = inner.pick(st, u)
+      if (got != open.lift(first)) mismatches += s"$at: $got, first best cell ${open.lift(first)} of score $best"
+      for ((i, j) <- got) {
+        val obs = st.workerErrorsOnRow(u, i)
+        if (obs.nonEmpty && st.corr.exists(_.predict(j, obs).nonEmpty)) predictedPicks += 1
       }
       got
     }
@@ -93,8 +112,7 @@ class AssignmentKernelSpec extends CrowdSpec {
   for (make <- Seq[() => AssignStrategy](() => new EntropyStrategy, () => new InherentGainStrategy,
                                          () => new StructGainStrategy)) {
     val name = make().name
-    test(s"$name: every pick and its gain equal the map-based reference") {
-      var largestGap = 0.0
+    test(s"$name: every pick is the first best open cell of a snapshot that is the Eq. 3/4 posterior of the log") {
       for ((rows, seed) <- settings) {
         val checked = new Checked(make())
         val pts = Assignment.simulate(new CrowdSim(Experiments.onlineConfig(rows, seed)), spark, checked, runCfg)
@@ -103,9 +121,7 @@ class AssignmentKernelSpec extends CrowdSpec {
         assert(checked.mismatches.isEmpty, s"rows=$rows seed=$seed: ${checked.mismatches.take(5)}")
         if (name == "Struct IG")
           assert(checked.predictedPicks > 0, s"rows=$rows seed=$seed: no pick ran the §5.2 prediction")
-        largestGap = math.max(largestGap, checked.largestGap)
       }
-      info(s"largest gap between a picked gain and the reference's: $largestGap")
     }
   }
 

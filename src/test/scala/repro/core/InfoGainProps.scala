@@ -49,8 +49,8 @@ object InfoGainProps extends Properties("InfoGain") {
     }
 
   // the closed form I(T; A) against Eq. 6, and 0 <= I(T; A) <= H(T); both
-  // to 1e-12, the tolerance within which the kernel's picks must match the
-  // reference's: at q = 1/L the gain is 0 and rounds to either side of it
+  // to 1e-12, so a pick that ranks cells by the closed form is Eq. 6's argmax
+  // up to gains that close: at q = 1/L the gain is 0 and rounds to either side of it
   property("mutualInformation equals categoricalGain to 1e-12, far inside the pick's slack") =
     Prop.forAllNoShrink(cases) { case (probs, q) =>
       val mi = AssignmentReference.mutualInformation(probs, q)

@@ -3,8 +3,8 @@ package repro.core
 import repro.core.MathUtil.Moments
 
 /** A [[TCrowdResult]] as tuple-keyed maps over the dataset's own row, column
-  * and worker ids: the shape of the Eq. 3–5 oracle ([[TCrowdOracle]]) and of
-  * the map-based snapshot ([[AssignmentReference.MapSnapshot]]).
+  * and worker ids: the shape of the Eq. 3–5 oracle ([[TCrowdOracle]]), whose
+  * E-step `AssignmentKernelSpec` runs at a session's refreshed parameters.
   *
   * @param contPosterior (row, col) -> (mu, var) of each continuous cell, in normalized space
   * @param catPosterior  (row, col) -> label distribution of each categorical cell

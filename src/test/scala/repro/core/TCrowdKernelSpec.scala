@@ -218,7 +218,7 @@ class TCrowdKernelSpec extends CrowdSpec {
     assert(jobsOf(Metrics.evaluate(mixed.copy(), res.estimatesLocal)) == 2) // the answers and the truth
     val sim = new CrowdSim(Experiments.onlineConfig(rows = 12))
     assert(jobsOf(Assignment.simulate(sim, spark, new StructGainStrategy,
-      SimRunConfig(maxAvgAnswers = 2.0, tcrowd = tc))) == 0)
+      SimRunConfig(maxAvgAnswers = 2.0, checkpointEvery = 0.5, tcrowd = tc))) == 0)
   }
 
   test("a Table 7 pass on a fresh dataset runs 2 Spark jobs: the answers in core.Model, the truth in metrics.Metrics") {

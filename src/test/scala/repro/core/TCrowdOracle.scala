@@ -12,33 +12,15 @@ import repro.core.TCrowd.{Eps, Lr, Tol}
 final class TCrowdOracle(t: AnswerTable) {
   import TCrowdOracle._
 
-  private val numLabels = t.columns.map(c => c.col -> c.numLabels).toMap
-  /** The answers, a continuous value z-normalized by its column's stats. */
-  private val answers = t.answers.toSeq.map(a => a.copy(value = Model.normalize(t.stats, a.col, a.value)))
-  private def cellOf(a: Answer): (Int, Int) = (a.row, a.col)
+  private val numLabels = labelCounts(t.columns)
+  private val answers = normalized(t.stats, t.answers.toSeq)
 
   /** Every parameter at ln 1: a worker and a row per answer, every schema column. */
   val start: Params = Params(answers.map(_.worker -> 0.0).toMap, answers.map(_.row -> 0.0).toMap,
     numLabels.map { case (j, _) => j -> 0.0 })
 
-  /** E-step. Eq. 3: a continuous cell's truth under the N(0, PriorVar)
-    * prior and answers `a ~ N(T, s)` has precision `1/PriorVar + sum 1/s`
-    * and mean `sum(a/s)` over that precision. Eq. 4: label z of a cell with
-    * L labels scores the sum, over the answers z, of `ln q - ln((1-q)/(L-1))`
-    * with `q = erf(Eps / sqrt(2 s))`; the posterior is their softmax.
-    */
-  def eStep(p: Params): Posteriors = {
-    val (cat, cont) = answers.partition(a => numLabels(a.col) > 0)
-    Posteriors(cont.groupBy(cellOf).map { case (c, as) =>
-      val precision = 1.0 / Model.PriorVar + as.map(a => math.exp(-p.lnS(a))).sum
-      c -> (as.map(a => a.value * math.exp(-p.lnS(a))).sum / precision, 1.0 / precision)
-    }, cat.groupBy(cellOf).map { case (c, as) =>
-      val l = numLabels(c._2)
-      val score = new Array[Double](l)
-      for (a <- as; q = quality(Eps, math.exp(p.lnS(a)))) score(a.value.toInt) += math.log(q) - math.log((1 - q) / (l - 1))
-      c -> softmax(score)
-    })
-  }
+  /** [[TCrowdOracle.eStep]] of the table's answers. */
+  def eStep(p: Params): Posteriors = TCrowdOracle.eStep(t.columns, answers, p)
 
   /** Answer a's term of Eq. 5 (its expected log-likelihood under `post`)
     * and the term's derivative in ln s. Continuous, `e = (a - mu)^2 + var`:
@@ -124,6 +106,35 @@ object TCrowdOracle {
 
   /** (mu, var) of each continuous cell and the label distribution of each categorical cell. */
   final case class Posteriors(cont: Map[(Int, Int), (Double, Double)], cat: Map[(Int, Int), Array[Double]])
+
+  /** E-step. Eq. 3: a continuous cell's truth under the N(0, PriorVar)
+    * prior and answers `a ~ N(T, s)` has precision `1/PriorVar + sum 1/s`
+    * and mean `sum(a/s)` over that precision. Eq. 4: label z of a cell with
+    * L labels scores the sum, over the answers z, of `ln q - ln((1-q)/(L-1))`
+    * with `q = erf(Eps / sqrt(2 s))`; the posterior is their softmax. The
+    * answers are on the schema `columns`, a continuous value z-normalized
+    * ([[normalized]]); a cell without answers has no entry.
+    */
+  def eStep(columns: Seq[ColumnSpec], answers: Seq[Answer], p: Params): Posteriors = {
+    val numLabels = labelCounts(columns)
+    val (cat, cont) = answers.partition(a => numLabels(a.col) > 0)
+    Posteriors(cont.groupBy(cellOf).map { case (c, as) =>
+      val precision = 1.0 / Model.PriorVar + as.map(a => math.exp(-p.lnS(a))).sum
+      c -> (as.map(a => a.value * math.exp(-p.lnS(a))).sum / precision, 1.0 / precision)
+    }, cat.groupBy(cellOf).map { case (c, as) =>
+      val l = numLabels(c._2)
+      val score = new Array[Double](l)
+      for (a <- as; q = quality(Eps, math.exp(p.lnS(a)))) score(a.value.toInt) += math.log(q) - math.log((1 - q) / (l - 1))
+      c -> softmax(score)
+    })
+  }
+
+  /** The answers, a continuous value z-normalized by its column's `stats`. */
+  def normalized(stats: Map[Int, (Double, Double)], answers: Seq[Answer]): Seq[Answer] =
+    answers.map(a => a.copy(value = Model.normalize(stats, a.col, a.value)))
+
+  private def labelCounts(columns: Seq[ColumnSpec]): Map[Int, Int] = columns.map(c => c.col -> c.numLabels).toMap
+  private def cellOf(a: Answer): (Int, Int) = (a.row, a.col)
 
   private def clamp(v: Double, lo: Double, hi: Double): Double = math.min(hi, math.max(lo, v))
 }
