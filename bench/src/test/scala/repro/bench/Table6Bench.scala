@@ -1,15 +1,15 @@
 package repro.bench
 
-import repro.CrowdSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments.Experiments
 
 /** Reproduces Table 6 (dataset statistics). The surrogate generators must
   * match the paper's numbers *exactly* — this is the contract under which
-  * the Table 7 comparison is meaningful.
+  * the Table 7 comparison is meaningful. It runs no Spark job.
   */
-class Table6Bench extends CrowdSpec {
+class Table6Bench extends AnyFunSuite {
 
-  private lazy val (stats, rendered) = Experiments.table6(spark)
+  private lazy val (stats, rendered) = Experiments.table6
 
   test("Table 6 renders and is archived") {
     println(rendered)

@@ -7,7 +7,7 @@ import repro.experiments.Experiments
   * its tables.
   *
   * Usage: spark-submit --class repro.jobs.Main repro.jar <artifact> [args]
-  *   - `table6`     Table 6 (dataset statistics)
+  *   - `table6`     Table 6 (dataset statistics), without starting Spark
   *   - `table7`     Table 7 (truth-inference effectiveness of all 11 methods)
   *   - `assignment [rows] [maxAvg]`  Fig 5 (assignment heuristics) and Fig 2
   *     (end-to-end systems); defaults `Experiments.onlineRows` rows and
@@ -26,6 +26,7 @@ object Main {
       System.err.println(s"usage: Main <${Artifacts.mkString("|")}> [args]")
       sys.exit(2)
     }
+    if (artifact == "table6") { println(Experiments.table6._2); return }
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"t-crowd-$artifact")
@@ -34,7 +35,6 @@ object Main {
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     try artifact match {
-      case "table6" => println(Experiments.table6(spark)._2)
       case "table7" => println(Experiments.table7(spark)._2)
       case "assignment" =>
         val rows = args.lift(1).map(_.toInt).getOrElse(Experiments.onlineRows)

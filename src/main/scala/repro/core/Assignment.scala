@@ -140,9 +140,8 @@ final class Snapshot(initial: TCrowdResult, val numRows: Int, val columns: Seq[C
   }
 }
 
-/** An online task-assignment policy. `observe` is invoked for every
-  * collected answer (including the seeding round) so self-contained
-  * strategies (CDAS, AskIt) can maintain incremental per-cell aggregates.
+/** An online task-assignment policy. A policy reads the session's answers
+  * from [[AssignState.log]].
   */
 trait AssignStrategy {
   def name: String
@@ -151,14 +150,20 @@ trait AssignStrategy {
   /** Whether the policy needs the §5.2 correlation model. */
   def needsCorrelation: Boolean = false
   def pick(st: AssignState, u: Int): Option[(Int, Int)]
+  /** No longer called: every policy reads [[AssignState.log]]. It stays
+    * only because the benchmark harness's `TimedStrategy` overrides it, and
+    * goes when that harness moves onto the current API (ROADMAP item 3).
+    */
   def observe(u: Int, i: Int, j: Int, value: Double): Unit = {}
 }
 
 /** Mutable state shared by the simulation loop and the strategies, on the
   * table of its snapshot (`snapshot.numRows` rows, `snapshot.columns`).
-  * Each worker's answered cells are a boolean array in the snapshot's cell
-  * layout, so the open cells are one scan in row-then-`columns` order, and
-  * so are the worker's memoized gains ([[bestGainCell]]).
+  * [[log]] is the one store of the session's answers. Next to it each worker
+  * has one record in the snapshot's cell layout: the log position of the
+  * worker's answer on each cell, and the worker's memoized gains
+  * ([[bestGainCell]]). So the open cells are one scan in row-then-`columns`
+  * order.
   */
 final class AssignState(val snapshot: Snapshot) {
   private val numRows = snapshot.numRows
@@ -167,48 +172,51 @@ final class AssignState(val snapshot: Snapshot) {
   /** Label count of the column at each position; 0 if continuous. */
   private val numLabels = snapshot.columns.map(_.numLabels).toArray
   var corr: Option[CorrelationModel] = None
-  private val answered = mutable.Map.empty[Int, Array[Boolean]]
-  private val memo = mutable.Map.empty[Int, AssignState.GainMemo]
-  /** (worker,row) -> answered (col, rawValue) pairs, for §5.2 row context. */
-  val rowAnswers: mutable.Map[(Int, Int), mutable.Buffer[(Int, Double)]] = mutable.Map.empty
+  private val workers = mutable.Map.empty[Int, AssignState.WorkerRecord]
   val log: mutable.Buffer[Answer] = mutable.Buffer.empty
 
-  /** Appends an answer to the session.
+  private def recordOf(u: Int): AssignState.WorkerRecord =
+    workers.getOrElseUpdate(u, new AssignState.WorkerRecord(numCells))
+
+  /** Appends an answer to the session: every logged answer is one that
+    * [[Model.answerTable]] accepts.
     *
     * @throws IllegalArgumentException naming the cell, for a cell outside
-    *         the table, a categorical answer that is not a [[Model.label]]
-    *         or a continuous answer that is not finite
+    *         the table, a second answer of the worker on the cell, a
+    *         categorical answer that is not a [[Model.label]] or a continuous
+    *         answer that is not finite
     */
   def record(a: Answer): Unit = {
     val k = snapshot.index(a.row, a.col)
     require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${numRows}-row table")
+    if (isAnswered(a.worker, a.row, a.col))
+      throw new IllegalArgumentException(s"worker ${a.worker} answered cell (${a.row}, ${a.col}) twice")
     val l = numLabels(k % colIds.length)
     if (l > 0) Model.label(a.row, a.col, a.value, l)
     else require(java.lang.Double.isFinite(a.value), s"answer ${a.value} on cell (${a.row}, ${a.col}) is not a finite number")
+    recordOf(a.worker).answer(k) = log.size
     log += a
-    answered.getOrElseUpdate(a.worker, new Array[Boolean](numCells))(k) = true
-    rowAnswers.getOrElseUpdate((a.worker, a.row), mutable.Buffer.empty) += ((a.col, a.value))
   }
 
   def isAnswered(u: Int, i: Int, j: Int): Boolean = {
     val k = snapshot.index(i, j)
-    k >= 0 && answered.get(u).exists(_(k))
+    k >= 0 && workers.get(u).exists(_.answer(k) >= 0)
   }
 
   /** The memoized gains of worker u whose stamp is current: each cell with
     * the gain a pick would read without computing it again.
     */
   private[core] def memoizedGains(u: Int): Seq[((Int, Int), Double)] =
-    memo.get(u).fold(Seq.empty[((Int, Int), Double)]) { g =>
+    workers.get(u).fold(Seq.empty[((Int, Int), Double)]) { g =>
       val m = colIds.length
       (0 until numCells).filter(k => g.stamp(k) == snapshot.stamp(k)).map(k => ((k / m, colIds(k % m)), g.value(k)))
     }
 
   /** The cells worker u has not answered, in row-then-`columns` order. */
   def availableCells(u: Int): IndexedSeq[(Int, Int)] = {
-    val done = answered.getOrElse(u, null)
+    val done = workers.getOrElse(u, null)
     val m = colIds.length
-    (0 until numCells).collect { case k if done == null || !done(k) => (k / m, colIds(k % m)) }
+    (0 until numCells).collect { case k if done == null || done.answer(k) < 0 => (k / m, colIds(k % m)) }
   }
 
   /** The open cell of worker u with the greatest score, scanning as
@@ -219,7 +227,7 @@ final class AssignState(val snapshot: Snapshot) {
     * so ties go to the first cell.
     */
   def bestOpenCell(u: Int)(rowScore: Int => Int => Double): Option[(Int, Int)] = {
-    val done = answered.getOrElse(u, null)
+    val done = workers.getOrElse(u, null)
     val m = colIds.length
     var best = -1
     var bestScore = 0.0
@@ -229,7 +237,7 @@ final class AssignState(val snapshot: Snapshot) {
       var p = 0
       while (p < m) {
         val k = i * m + p
-        if (done == null || !done(k)) {
+        if (done == null || done.answer(k) < 0) {
           if (score == null) score = rowScore(i)
           val s = score(colIds(p))
           if (best < 0 || java.lang.Double.compare(s, bestScore) > 0) { best = k; bestScore = s }
@@ -253,11 +261,10 @@ final class AssignState(val snapshot: Snapshot) {
     * one a fresh computation gives, to the bit.
     */
   def bestGainCell(u: Int)(rowPrediction: Int => Int => Option[CondDist]): Option[(Int, Int)] = {
-    val done = answered.getOrElse(u, null)
-    val g = memo.getOrElseUpdate(u, new AssignState.GainMemo(numCells))
+    val g = recordOf(u)
     val phi = snapshot.workerVariance(u)
     bestOpenCell(u) { i =>
-      val predict = if (done != null && answersRow(done, i)) rowPrediction(i) else null
+      val predict = if (answersRow(g, i)) rowPrediction(i) else null
       j => {
         val d = if (predict == null) None else predict(j)
         if (d.isDefined) Assignment.predictedGain(snapshot, d.get, i, j)
@@ -271,34 +278,40 @@ final class AssignState(val snapshot: Snapshot) {
     }
   }
 
-  /** Whether a worker whose answered cells are `done` has answered a cell of row i. */
-  private def answersRow(done: Array[Boolean], i: Int): Boolean = {
+  /** Whether the worker of record `rec` has answered a cell of row i. */
+  private def answersRow(rec: AssignState.WorkerRecord, i: Int): Boolean = {
     val end = (i + 1) * colIds.length
     var k = i * colIds.length
-    while (k < end && !done(k)) k += 1
+    while (k < end && rec.answer(k) < 0) k += 1
     k < end
   }
 
   /** Worker u's observed errors on row i vs the current snapshot estimates
     * (0/1 for categorical, normalized signed difference for continuous), in
-    * the order u answered them.
+    * the order u answered them; none on a row outside the table.
     */
-  def workerErrorsOnRow(u: Int, i: Int): Seq[(Int, Double)] =
-    rowAnswers.get((u, i)).fold(Seq.empty[(Int, Double)])(_.toSeq.map { case (j, raw) =>
-      if (snapshot.isCategorical(j)) {
-        val est = snapshot.estimateOf(i, j)
-        j -> (if (est.toInt == raw.toInt) 0.0 else 1.0)
-      } else {
-        j -> (snapshot.normalize(j, raw) - snapshot.contOf(i, j)._1)
+  def workerErrorsOnRow(u: Int, i: Int): Seq[(Int, Double)] = workers.get(u) match {
+    case Some(rec) if i >= 0 && i < numRows =>
+      rec.answer.slice(i * colIds.length, (i + 1) * colIds.length).filter(_ >= 0).sorted.toSeq.map { x =>
+        val (j, raw) = (log(x).col, log(x).value)
+        if (snapshot.isCategorical(j)) {
+          val est = snapshot.estimateOf(i, j)
+          j -> (if (est.toInt == raw.toInt) 0.0 else 1.0)
+        } else {
+          j -> (snapshot.normalize(j, raw) - snapshot.contOf(i, j)._1)
+        }
       }
-    })
+    case _ => Seq.empty
+  }
 }
 
 object AssignState {
-  /** One worker's memo over the cells of a [[Snapshot]]: the last gain
-    * computed on each cell and the cell's stamp then (-1: none yet).
+  /** One worker's record over the cells of a [[Snapshot]]: the log position
+    * of the worker's answer on each cell (-1: none), and the gain memo, the
+    * last gain computed on each cell and the cell's stamp then (-1: none yet).
     */
-  private final class GainMemo(n: Int) {
+  private final class WorkerRecord(n: Int) {
+    val answer: Array[Int] = Array.fill(n)(-1)
     val value = new Array[Double](n)
     val stamp: Array[Long] = Array.fill(n)(-1L)
   }
@@ -371,23 +384,17 @@ final class StructGainStrategy extends AssignStrategy {
   }
 }
 
-/** Base of CDAS and AskIt, which score a cell by the answers they observed
-  * on it, tallied in arrays in the [[Snapshot]]'s cell layout. `observe` has
-  * no session state to size them by: it queues the answer, and each pick
-  * first tallies the queue in the order observed, each answer taken off it
-  * before it is checked. An answer on a cell outside the table, a
-  * categorical one that is not a [[Model.label]] or a continuous one that is
-  * not finite is dropped: the pick that reaches it throws an
-  * `IllegalArgumentException` naming the cell, as [[AssignState.record]] does.
+/** Base of CDAS and AskIt, which score a cell by the answers in the
+  * session's [[AssignState.log]], tallied in arrays in the [[Snapshot]]'s
+  * cell layout. Each pick first tallies the log from where the last one
+  * stopped, so one instance serves one session.
   */
 sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
-  private val queued = mutable.Queue.empty[Answer]
+  private var tallied = 0
   // per cell: in catCols?, votes per label, answers, sum, sum of squares, rescore; the sums per column
   protected var categorical: Array[Boolean] = _
   protected var votes: Array[Array[Int]] = _
   protected var count, sum, sumSq, score, colCount, colSum, colSumSq: Array[Double] = _
-
-  override def observe(u: Int, i: Int, j: Int, value: Double): Unit = queued += Answer(u, i, j, value)
 
   /** The strategy's score of cell k, from the cell's tallies. */
   protected def rescore(k: Int): Double
@@ -401,15 +408,12 @@ sealed abstract class TallyStrategy(catCols: Set[Int]) extends AssignStrategy {
       count = new Array(n); sum = new Array(n); sumSq = new Array(n); score = new Array(n)
       colCount = new Array(m); colSum = new Array(m); colSumSq = new Array(m)
     }
-    while (queued.nonEmpty) {
-      val a = queued.dequeue()
+    while (tallied < st.log.size) {
+      val a = st.log(tallied)
+      tallied += 1
       val (k, v) = (st.snapshot.index(a.row, a.col), a.value)
-      require(k >= 0, s"answer on cell (${a.row}, ${a.col}) outside the ${st.snapshot.numRows}-row table")
       if (categorical(k)) votes(k)(Model.label(a.row, a.col, v, votes(k).length)) += 1
-      else {
-        require(java.lang.Double.isFinite(v), s"answer $v on cell (${a.row}, ${a.col}) is not a finite number")
-        sum(k) += v; sumSq(k) += v * v; colCount(k % m) += 1; colSum(k % m) += v; colSumSq(k % m) += v * v
-      }
+      else { sum(k) += v; sumSq(k) += v * v; colCount(k % m) += 1; colSum(k % m) += v; colSumSq(k % m) += v * v }
       count(k) += 1
       score(k) = rescore(k)
     }
@@ -548,7 +552,6 @@ object Assignment {
     def answer(u: Int, i: Int, j: Int): Unit = {
       val v = sim.answerFor(u, i, j)
       st.record(Answer(u, i, j, v))
-      strategy.observe(u, i, j, v)
       if (strategy.needsSnapshot) st.snapshot.applyAnswer(u, i, j, v)
     }
 

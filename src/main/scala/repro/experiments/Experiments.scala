@@ -32,14 +32,10 @@ object Experiments {
   // ------------------------------------------------------------- Table 6
 
   /** Table 6: statistics of the (surrogate) datasets. */
-  def table6(spark: SparkSession): (Seq[(String, Int, Int, Long, Int)], String) = {
+  def table6: (Seq[(String, Int, Int, Long, Int)], String) = {
     val stats = Seq(
       Surrogates.celebrityConfig(), Surrogates.restaurantConfig(), Surrogates.emotionConfig(),
-    ).map { cfg =>
-      val ds = new CrowdSim(cfg).dataset(spark)
-      val cells = ds.truth.count()
-      (cfg.name, cfg.numRows, cfg.columns.size, cells, cfg.answersPerTask)
-    }
+    ).map(cfg => (cfg.name, cfg.numRows, cfg.columns.size, new CrowdSim(cfg).allTruth.size.toLong, cfg.answersPerTask))
     val sb = new StringBuilder
     sb ++= "Table 6: Statistics of (surrogate) datasets\n"
     sb ++= "| Dataset    | #Rows | #Columns | #Cells | #Ans. per Task |\n"

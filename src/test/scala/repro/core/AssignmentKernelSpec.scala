@@ -43,7 +43,6 @@ class AssignmentKernelSpec extends CrowdSpec {
     def name: String = inner.name
     override def needsSnapshot: Boolean = inner.needsSnapshot
     override def needsCorrelation: Boolean = inner.needsCorrelation
-    override def observe(u: Int, i: Int, j: Int, value: Double): Unit = inner.observe(u, i, j, value)
 
     val mismatches = mutable.Buffer.empty[String]
     var picks = 0
@@ -135,7 +134,6 @@ class AssignmentKernelSpec extends CrowdSpec {
     def name: String = inner.name
     override def needsSnapshot: Boolean = inner.needsSnapshot
     override def needsCorrelation: Boolean = inner.needsCorrelation
-    override def observe(u: Int, i: Int, j: Int, value: Double): Unit = inner.observe(u, i, j, value)
 
     val mismatches = mutable.Buffer.empty[String]
     var compared, models = 0

@@ -177,6 +177,29 @@ class AssignmentSpec extends CrowdSpec {
     assert(st.availableCells(3).toSet == Set((0, 1), (1, 0), (1, 1)))
   }
 
+  test("record rejects an answer outside the table, naming the cell") {
+    for ((i, j) <- Seq((5, 0), (0, 9))) {
+      val st = mkState()
+      val e = intercept[IllegalArgumentException](st.record(Answer(1, i, j, 0.0)))
+      assert(e.getMessage.contains(s"cell ($i, $j)"), e.getMessage)
+      assert(st.log.isEmpty)
+    }
+  }
+
+  test("record rejects a second answer of one worker on one cell, as the answer table does") {
+    val st = mkState()
+    val first = Answer(1, 0, 1, 0.5)
+    st.record(first)
+    for (again <- Seq(first, first.copy(value = 2.0))) {
+      val e = intercept[IllegalArgumentException](st.record(again))
+      val table = intercept[IllegalArgumentException](Model.answerTable(columns, Seq(first, again)))
+      assert(e.getMessage == "worker 1 answered cell (0, 1) twice" && e.getMessage == table.getMessage, e.getMessage)
+    }
+    // another worker on the cell is accepted
+    st.record(Answer(2, 0, 1, 0.5))
+    assert(st.log == Seq(first, Answer(2, 0, 1, 0.5)))
+  }
+
   test("workerErrorsOnRow compares answers to the snapshot estimates") {
     assert(table.stats == Map(1 -> (0.0, 1.0)))
     val st = mkState()
@@ -283,49 +306,16 @@ class AssignmentSpec extends CrowdSpec {
   test("CDAS avoids terminated (confident) cells") {
     val st = mkState()
     val s = new CdasStrategy(catCols = Set(0), seed = 3)
-    // make (0,0) terminated: 5 identical votes
-    for (u <- 10 to 14) s.observe(u, 0, 0, 1.0)
     // worker 20 has answered everything except (0,0) and (1,1)
     st.record(Answer(20, 0, 1, 0.0))
     st.record(Answer(20, 1, 0, 0.0))
+    // (0,0) is open at 2 identical votes, and the third terminates it
+    for (u <- 10 to 11) st.record(Answer(u, 0, 0, 1.0))
+    assert((1 to 20).map(_ => s.pick(st, 20).get).contains((0, 0)))
+    st.record(Answer(12, 0, 0, 1.0))
     val picks = (1 to 10).map(_ => s.pick(st, 20).get).toSet
     assert(!picks.contains((0, 0)))
     assert(picks.contains((1, 1)))
-  }
-
-  test("CDAS and AskIt reject an observed answer outside the table, naming the cell") {
-    for ((i, j) <- Seq((5, 0), (0, 9));
-         s <- Seq[TallyStrategy](new CdasStrategy(catCols = Set(0)), new AskItStrategy(catCols = Set(0)))) {
-      s.observe(1, i, j, 0.0)
-      val e = intercept[IllegalArgumentException](s.pick(mkState(), 2))
-      assert(e.getMessage.contains(s"cell ($i, $j)"), s"${s.name}: ${e.getMessage}")
-    }
-  }
-
-  test("CDAS and AskIt report a rejected observed answer once and tally every other answer once") {
-    for (s <- Seq[TallyStrategy](new CdasStrategy(catCols = Set(0), seed = 5), new AskItStrategy(catCols = Set(0)))) {
-      val st = mkState()
-      s.observe(1, 0, 0, 1.0); s.observe(2, 5, 0, 1.0); s.observe(3, 0, 0, 1.0)
-      val e = intercept[IllegalArgumentException](s.pick(st, 20))
-      assert(e.getMessage.contains("cell (5, 0)"), s"${s.name}: ${e.getMessage}")
-      assert(s.pick(st, 20).isDefined, s.name)
-      for (v <- Seq(Double.NaN, Double.PositiveInfinity)) { // on the continuous cell (1, 1), worded as record words it
-        s.observe(4, 1, 1, v)
-        val f = intercept[IllegalArgumentException](s.pick(st, 20)).getMessage
-        assert(f == intercept[IllegalArgumentException](st.record(Answer(4, 1, 1, v))).getMessage, s"${s.name}: $f")
-        assert(f.contains("cell (1, 1)") && s.pick(st, 20).isDefined, s"${s.name}: $f")
-      }
-    }
-    // CDAS terminates a categorical cell at 3 unanimous answers: (0, 0) holds
-    // 2 after the two picks above, and the third terminates it
-    val st = mkState()
-    val s = new CdasStrategy(catCols = Set(0), seed = 5)
-    s.observe(1, 0, 0, 1.0); s.observe(2, 5, 0, 1.0); s.observe(3, 0, 0, 1.0)
-    intercept[IllegalArgumentException](s.pick(st, 20))
-    st.record(Answer(20, 0, 1, 0.0)); st.record(Answer(20, 1, 0, 0.0))
-    assert((1 to 20).map(_ => s.pick(st, 20).get).contains((0, 0)))
-    s.observe(4, 0, 0, 1.0)
-    assert((1 to 20).map(_ => s.pick(st, 20).get).toSet == Set((1, 1)))
   }
 
   test("CDAS terminates a continuous cell at 3 identical answers or 16 distinct ones") {
@@ -334,7 +324,7 @@ class AssignmentSpec extends CrowdSpec {
     def terminated(answers: Seq[Double]): Boolean = {
       val st = mkState()
       val s = new CdasStrategy(catCols = Set(0), seed = 6)
-      for ((v, u) <- answers.zipWithIndex) s.observe(u, 0, 1, v)
+      for ((v, u) <- answers.zipWithIndex) st.record(Answer(u, 0, 1, v))
       st.record(Answer(20, 0, 0, 0.0)); st.record(Answer(20, 1, 0, 0.0))
       !(1 to 20).map(_ => s.pick(st, 20).get).contains((0, 1))
     }
@@ -347,7 +337,7 @@ class AssignmentSpec extends CrowdSpec {
   test("CDAS falls back to terminated cells when nothing else remains") {
     val st = mkState()
     val s = new CdasStrategy(catCols = Set(0), seed = 4)
-    for (u <- 10 to 14) { s.observe(u, 0, 0, 1.0) }
+    for (u <- 10 to 14) st.record(Answer(u, 0, 0, 1.0))
     st.record(Answer(20, 0, 1, 0.0)); st.record(Answer(20, 1, 0, 0.0))
     st.record(Answer(20, 1, 1, 0.0))
     assert(s.pick(st, 20).contains((0, 0)))
@@ -357,8 +347,8 @@ class AssignmentSpec extends CrowdSpec {
     val st = mkState()
     val s = new AskItStrategy(catCols = Set(0))
     // categorical cells have votes, continuous none -> continuous Inf urgency
-    s.observe(1, 0, 0, 1.0); s.observe(2, 0, 0, 2.0)
-    s.observe(1, 1, 0, 0.0); s.observe(2, 1, 0, 0.0)
+    st.record(Answer(1, 0, 0, 1.0)); st.record(Answer(2, 0, 0, 2.0))
+    st.record(Answer(1, 1, 0, 0.0)); st.record(Answer(2, 1, 0, 0.0))
     val p = s.pick(st, 9).get
     assert(p._2 == 1) // a continuous column
   }
@@ -366,9 +356,9 @@ class AssignmentSpec extends CrowdSpec {
   test("AskIt picks the higher-entropy categorical cell when forced") {
     val st = mkState()
     val s = new AskItStrategy(catCols = Set(0))
-    s.observe(1, 0, 0, 1.0); s.observe(2, 0, 0, 2.0) // split votes: high entropy
-    s.observe(1, 1, 0, 0.0); s.observe(2, 1, 0, 0.0) // unanimous: zero entropy
-    for (i <- 0 to 1) { s.observe(1, i, 1, 5.0); st.record(Answer(9, i, 1, 5.0)) }
+    st.record(Answer(1, 0, 0, 1.0)); st.record(Answer(2, 0, 0, 2.0)) // split votes: high entropy
+    st.record(Answer(1, 1, 0, 0.0)); st.record(Answer(2, 1, 0, 0.0)) // unanimous: zero entropy
+    for (i <- 0 to 1) st.record(Answer(9, i, 1, 5.0))
     assert(s.pick(st, 9).contains((0, 0)))
   }
 

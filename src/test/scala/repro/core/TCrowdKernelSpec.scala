@@ -72,9 +72,8 @@ class TCrowdKernelSpec extends CrowdSpec {
     (diffs.toSeq, got, qs)
   }
 
-  // the names are kept from when the reference was the DataFrame EM, so each run keeps one test id
   for ((name, mk, cfg) <- runs) {
-    test(s"kernel agrees with the Spark reference EM to 1e-9 on $name") {
+    test(s"kernel agrees with TCrowdOracle to 1e-9 on $name") {
       val (diffs, got, qs) = compare(mk(), cfg)
       val rises = qs.map { case (before, after) => after - before }
       info(s"${got.iterations} iterations, converged=${got.converged}, smallest rise of Q ${rises.min}")

@@ -58,7 +58,7 @@ class ExperimentsSpec extends CrowdSpec {
   }
 
   test("table6 stats carry through the harness") {
-    val (stats, rendered) = Experiments.table6(spark)
+    val (stats, rendered) = Experiments.table6
     assert(stats.map(_._1) == Seq("Celebrity", "Restaurant", "Emotion"))
     assert(rendered.linesIterator.size >= 6)
   }
