@@ -2,12 +2,12 @@ package repro.core
 
 import repro.core.MathUtil._
 
-/** Parameters of a conditional error distribution `P(e_j | e_k = cond)`
-  * estimated from paired samples: `mean`/`variance` of `e_j` (for a
-  * categorical target, `mean` is `P(e_j = 1 | e_k = cond)` and the variance
-  * is unused).
+/** A conditional error distribution `P(e_j | e_k = cond)` of paper Table 5,
+  * or the Eq. 7 mixture of several: the `mean` and `variance` of `e_j`. For
+  * a categorical target, `mean` is `P(e_j = 1 | e_k = cond)` and `variance`
+  * is that Bernoulli's, which [[Assignment.predictedGain]] does not read.
   */
-final case class CondDist(mean: Double, variance: Double, n: Long)
+final case class CondDist(mean: Double, variance: Double)
 
 /** The structure-aware error-correlation model of paper §5.2 (Tables 4/5),
   * as the moments [[Correlation.estimate]] accumulates over the columns of
@@ -52,7 +52,6 @@ final class CorrelationModel private[core] (
   def predict(j: Int, observed: Seq[(Int, Double)]): Option[CondDist] = {
     val jx = position(j)
     var sw, mean, second = 0.0
-    var n = 0L
     var parts = 0
     val it = observed.iterator
     while (it.hasNext) {
@@ -66,7 +65,6 @@ final class CorrelationModel private[core] (
           sw += wk
           mean += wk * d.mean
           second += wk * (d.variance + d.mean * d.mean)
-          n += d.n
           parts += 1
         }
       }
@@ -75,12 +73,12 @@ final class CorrelationModel private[core] (
     else {
       mean /= sw
       second /= sw
-      Some(CondDist(mean, math.max(second - mean * mean, 1e-9), n))
+      Some(CondDist(mean, math.max(second - mean * mean, 1e-9)))
     }
   }
 
   /** The distribution of the moments `ms`; null if there are none. */
-  private def dist(ms: Moments): CondDist = if (ms == null) null else CondDist(ms.meanX, ms.varX, ms.n)
+  private def dist(ms: Moments): CondDist = if (ms == null) null else CondDist(ms.meanX, ms.varX)
 
   /** [[conditional]] of the columns at positions jx, kx; null for None. */
   private def conditionalAt(jx: Int, kx: Int, ek: Double): CondDist =
@@ -95,7 +93,7 @@ final class CorrelationModel private[core] (
         val vk  = math.max(c.varY, 1e-9)
         val rho = c.cov / math.sqrt(math.max(c.varX, 1e-9) * vk)
         val r   = math.max(-0.999, math.min(0.999, rho))
-        CondDist(c.meanX + c.cov / vk * (ek - c.meanY), (1 - r * r) * math.max(c.varX, 1e-9), 1)
+        CondDist(c.meanX + c.cov / vk * (ek - c.meanY), (1 - r * r) * math.max(c.varX, 1e-9))
       }
     } else {
       // case (d) cat j | cont k: Bayes over P(e_k | e_j) normals + P(e_j)
@@ -108,7 +106,7 @@ final class CorrelationModel private[core] (
         val l1 = normalPdf(ek, d1.mean, math.max(d1.variance, 1e-6)) * p1
         val l0 = normalPdf(ek, d0.mean, math.max(d0.variance, 1e-6)) * (1 - p1)
         val pe = if (l1 + l0 <= 0) p1 else l1 / (l1 + l0)
-        CondDist(clampProb(pe), pe * (1 - pe), d1.n + d0.n)
+        CondDist(clampProb(pe), pe * (1 - pe))
       }
     }
 }

@@ -13,7 +13,8 @@ import scala.collection.mutable
   * under the last refresh's parameters ([[TCrowdOracle.eStep]]), the open
   * cells and a worker's row errors (§5.2) follow from the log, and the pick
   * is the argmax of the strategy's score computed afresh; the memoized
-  * gains equal fresh ones, and the correlation model its map-based reference.
+  * gains equal fresh ones, and the correlation model the estimate from the
+  * session's snapshot.
   */
 class AssignmentKernelSpec extends CrowdSpec {
 
@@ -61,10 +62,10 @@ class AssignmentKernelSpec extends CrowdSpec {
     /** (a): the cells whose snapshot posterior is not the E-step of the log. */
     private def posteriorGaps(st: AssignState): Seq[String] = {
       val snap = st.snapshot
-      val res = ResultMaps(snap.res)
-      def ln(m: Map[Int, Double]) = m.map { case (k, v) => k -> math.log(v) }.withDefaultValue(0.0)
-      val post = TCrowdOracle.eStep(snap.columns, TCrowdOracle.normalized(res.contStats, st.log.toSeq),
-        TCrowdOracle.Params(ln(res.phi), ln(res.alpha), ln(res.beta)))
+      val (r, t) = (snap.res, snap.res.table)
+      def ln(ids: Array[Int], v: Array[Double]) = ids.indices.map(x => ids(x) -> math.log(v(x))).toMap.withDefaultValue(0.0)
+      val post = TCrowdOracle.eStep(snap.columns, TCrowdOracle.normalized(t.stats, st.log.toSeq),
+        TCrowdOracle.Params(ln(t.workerIds, r.phi), ln(t.rowIds, r.alpha), ln(t.colIds, r.beta)))
       for {
         i <- 0 until snap.numRows
         c <- snap.columns
@@ -127,8 +128,8 @@ class AssignmentKernelSpec extends CrowdSpec {
   /** Delegates to `inner` and, before and after each of its picks, compares
     * every memoized gain of the picking worker whose stamp is current with a
     * fresh [[Assignment.inherentGain]], bit for bit. At the first pick after
-    * a refresh it compares the session's correlation model with
-    * [[CorrelationReference]] on the same answers and result.
+    * a refresh it compares the session's correlation model, moment by moment,
+    * with [[Correlation.estimate]] of the snapshot's result.
     */
   private final class MemoChecked(inner: AssignStrategy) extends AssignStrategy {
     def name: String = inner.name
@@ -154,9 +155,9 @@ class AssignmentKernelSpec extends CrowdSpec {
     def pick(st: AssignState, u: Int): Option[(Int, Int)] = {
       picks += 1
       if (st.corr.exists(c => !lastCorr.exists(_ eq c))) {
-        val want = CorrelationReference.estimate(st.snapshot.res)
+        val want = CorrelationSpec.momentsOf(Correlation.estimate(st.snapshot.res))
         models += 1
-        if (CorrelationMaps(st.corr.get) != want) mismatches += s"pick $picks: correlation model differs from the reference"
+        if (CorrelationSpec.momentsOf(st.corr.get) != want) mismatches += s"pick $picks: correlation model differs from its estimate"
         lastCorr = st.corr
       }
       check(st, u, "before")

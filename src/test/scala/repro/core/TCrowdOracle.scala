@@ -1,13 +1,13 @@
 package repro.core
 
-import repro.core.MathUtil.{argmax, quality, softmax}
+import repro.core.MathUtil.{quality, softmax}
 import repro.core.TCrowd.{Eps, Lr, Tol}
 
 /** T-Crowd's EM transcribed from paper §4 over maps keyed by worker, row,
   * column and cell ids: the reference the driver-side kernel
   * ([[TCrowd.infer]]) must match. It shares with the kernel only the table's
-  * ingest (raw answers, continuous stats), `Model.normalize`/`denormalize`,
-  * `quality`, `softmax`, `argmax` and the model constants.
+  * ingest (raw answers, continuous stats), `Model.normalize`, `quality`,
+  * `softmax` and the model constants.
   */
 final class TCrowdOracle(t: AnswerTable) {
   import TCrowdOracle._
@@ -77,10 +77,10 @@ final class TCrowdOracle(t: AnswerTable) {
   }
 
   /** The EM from [[start]] until `maxIters`, or until no step of an M-step
-    * moved a log-parameter by `Tol`: the result, and Q before and after each
+    * moved a log-parameter by `Tol`: the run, and Q before and after each
     * M-step under the posteriors it climbed.
     */
-  def run(cfg: TCrowdConfig): (ResultMaps, Seq[(Double, Double)]) = {
+  def run(cfg: TCrowdConfig): (Run, Seq[(Double, Double)]) = {
     var (p, post, iter, converged) = (start, eStep(start), 0, false)
     val qs = Seq.newBuilder[(Double, Double)]
     while (iter < cfg.maxIters && !converged) {
@@ -88,11 +88,7 @@ final class TCrowdOracle(t: AnswerTable) {
       qs += ((q(p, post), q(next, post)))
       p = next; post = eStep(p); iter += 1; converged = maxDelta < Tol
     }
-    val estimates = post.cont.map { case ((i, j), (mu, _)) => TruthCell(i, j, Model.denormalize(t.stats, j, mu)) } ++
-      post.cat.map { case ((i, j), r) => TruthCell(i, j, argmax(r).toDouble) }
-    def exp(ln: Map[Int, Double]) = ln.map { case (k, v) => k -> math.exp(v) }
-    (ResultMaps(estimates.toSeq, post.cont, post.cat, exp(p.lnPhi), exp(p.lnAlpha), exp(p.lnBeta), t.stats,
-      iter, converged), qs.result())
+    (Run(post, p, iter, converged), qs.result())
   }
 }
 
@@ -106,6 +102,9 @@ object TCrowdOracle {
 
   /** (mu, var) of each continuous cell and the label distribution of each categorical cell. */
   final case class Posteriors(cont: Map[(Int, Int), (Double, Double)], cat: Map[(Int, Int), Array[Double]])
+
+  /** An EM run's last posteriors and parameters, and how it stopped. */
+  final case class Run(post: Posteriors, p: Params, iterations: Int, converged: Boolean)
 
   /** E-step. Eq. 3: a continuous cell's truth under the N(0, PriorVar)
     * prior and answers `a ~ N(T, s)` has precision `1/PriorVar + sum 1/s`

@@ -49,7 +49,7 @@ class TCrowdSmokeSpec extends CrowdSpec {
   }
 
   test("estimated worker quality correlates with simulated quality") {
-    val est = ResultMaps(res).phi.map { case (u, p) => u -> MathUtil.quality(TCrowd.Eps, p) }
+    val est = res.table.workerIds.zip(res.phi).map { case (u, p) => u -> MathUtil.quality(TCrowd.Eps, p) }.toMap
     val actual = sim.workerPhi
     val common = est.keySet.intersect(actual.keySet).toSeq
     // higher phi (worse worker) -> lower estimated quality

@@ -23,10 +23,15 @@ class TCrowdSpec extends CrowdSpec {
   ))
   private lazy val ds = sim.dataset(spark)
   private lazy val res = TCrowd.infer(ds, TCrowdConfig(maxIters = 10, gdSteps = 4))
-  private lazy val maps = ResultMaps(res)
+  private lazy val t = res.table
+  private def byId(ids: Array[Int], v: Array[Double]): Map[Int, Double] = ids.indices.map(x => ids(x) -> v(x)).toMap
+  /** The result's variance per worker id, and difficulty per row and column id. */
+  private lazy val phiOf = byId(t.workerIds, res.phi)
+  private lazy val alphaOf = byId(t.rowIds, res.alpha)
+  private lazy val betaOf = byId(t.colIds, res.beta)
 
   test("categorical posteriors are distributions over the full label set") {
-    maps.catPosterior.foreach { case ((_, j), p) =>
+    t.catCells.map(c => (t.cellIds(c)._2, res.post(c))).foreach { case (j, p) =>
       val l = if (j == 0) 6 else 3
       assert(p.length == l)
       assert(math.abs(p.sum - 1.0) < 1e-9)
@@ -35,7 +40,7 @@ class TCrowdSpec extends CrowdSpec {
   }
 
   test("continuous posteriors have positive variance") {
-    maps.contPosterior.values.foreach { case (_, tphi) => assert(tphi > 0) }
+    t.contCells.foreach(c => assert(res.tphi(c) > 0))
   }
 
   test("worker qualities are probabilities") {
@@ -57,18 +62,18 @@ class TCrowdSpec extends CrowdSpec {
   private lazy val snap = new Snapshot(res, sim.cfg.numRows, ds.columns)
 
   test("Snapshot.answerVariance is the alpha*beta*phi product") {
-    val u = maps.phi.keys.head
-    val i = maps.alpha.keys.head
-    val j = maps.beta.keys.head
-    val expected = maps.alpha(i) * maps.beta(j) * maps.phi(u)
+    val u = phiOf.keys.head
+    val i = alphaOf.keys.head
+    val j = betaOf.keys.head
+    val expected = alphaOf(i) * betaOf(j) * phiOf(u)
     assert(math.abs(snap.answerVariance(snap.workerVariance(u), i, j) - expected) < 1e-12)
   }
 
   test("Snapshot answer quality decreases with row difficulty") {
-    val phi = snap.workerVariance(maps.phi.keys.head)
-    val j = maps.beta.keys.head
-    val easy = maps.alpha.minBy(_._2)._1
-    val hard = maps.alpha.maxBy(_._2)._1
+    val phi = snap.workerVariance(phiOf.keys.head)
+    val j = betaOf.keys.head
+    val easy = alphaOf.minBy(_._2)._1
+    val hard = alphaOf.maxBy(_._2)._1
     assert(quality(TCrowd.Eps, snap.answerVariance(phi, easy, j)) >=
       quality(TCrowd.Eps, snap.answerVariance(phi, hard, j)))
   }
@@ -93,9 +98,9 @@ class TCrowdSpec extends CrowdSpec {
   }
 
   test("estimated row difficulty correlates with simulated difficulty") {
-    val common = maps.alpha.keySet.intersect(sim.rowAlpha.keySet).toSeq
+    val common = alphaOf.keySet.intersect(sim.rowAlpha.keySet).toSeq
     val m = new MathUtil.Moments
-    common.foreach(i => m.add(math.log(sim.rowAlpha(i)), math.log(maps.alpha(i))))
+    common.foreach(i => m.add(math.log(sim.rowAlpha(i)), math.log(alphaOf(i))))
     val c = m.correlation
     info(f"corr(log true alpha, log est alpha) = $c%.3f")
     assert(c > 0.2)
@@ -104,7 +109,7 @@ class TCrowdSpec extends CrowdSpec {
   test("inference is deterministic") {
     val res2 = TCrowd.infer(ds, TCrowdConfig(maxIters = 10, gdSteps = 4))
     assert(res.estimatesLocal.toSet == res2.estimatesLocal.toSet)
-    assert(maps.phi == ResultMaps(res2).phi)
+    assert(res.phi.toSeq == res2.phi.toSeq) // one table, so one worker order
   }
 
   test("onlyCate restriction estimates only categorical cells") {

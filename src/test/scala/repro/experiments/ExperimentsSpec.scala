@@ -1,6 +1,8 @@
 package repro.experiments
 
 import repro.CrowdSpec
+import repro.core.{Answer, Model, TruthCell}
+import repro.crowd.{CrowdSim, Surrogates}
 import repro.experiments.Experiments.Score
 
 class ExperimentsSpec extends CrowdSpec {
@@ -72,5 +74,41 @@ class ExperimentsSpec extends CrowdSpec {
     val rows = Experiments.renderTable7(Seq.empty).linesIterator.drop(4).map(_.split('|')(1).trim).toSeq
     assert(rows == Seq("T-Crowd", "CRH", "CATD", "Maj. Voting", "EM", "GLAD", "Zencrowd",
       "TC-onlyCate", "Median", "GTM", "TC-onlyCont"))
+  }
+
+  // reversed worker ids, reversed row ids, and x -> 3.7x - 20 on each continuous column
+  test("every Table 7 method is invariant to reversed ids and affine columns") {
+    val cfg = Experiments.benchCfg
+    val methods = Experiments.heterogeneousMethods(cfg) ++ Experiments.categoricalMethods(cfg) ++
+      Experiments.continuousMethods(cfg)
+    var (cells, gap) = (0, 0.0)
+    for (sc <- Seq(Surrogates.celebrityConfig(), Surrogates.restaurantConfig(), Surrogates.emotionConfig())) {
+      val sim = new CrowdSim(sc)
+      val (cols, answers) = (sim.columnSpecs, sim.allAnswers)
+      val cont = sim.columnSpecs.filter(_.isContinuous).map(_.col).toSet
+      val (lastWorker, lastRow) = (answers.map(_.worker).max, answers.map(_.row).max)
+      def affine(col: Int, v: Double): Double = if (cont(col)) 3.7 * v - 20 else v
+      // each map of the answers, and where it takes an estimate
+      val maps: Seq[(String, Answer => Answer, TruthCell => TruthCell)] = Seq(
+        ("reversed worker ids", a => a.copy(worker = lastWorker - a.worker), c => c),
+        ("reversed row ids", a => a.copy(row = lastRow - a.row), c => c.copy(row = lastRow - c.row)),
+        ("x -> 3.7x - 20", a => a.copy(value = affine(a.col, a.value)), c => c.copy(value = affine(c.col, c.value))))
+      val t = Model.answerTable(cols, answers)
+      for (m <- methods; base = m.infer(t); (name, f, g) <- maps) {
+        val got = m.infer(Model.answerTable(cols, answers.map(f))).map(c => (c.row, c.col) -> c.value).toMap
+        val at = s"${m.name} on ${sc.name} under $name"
+        assert(got.size == base.size, at)
+        for (w <- base.map(g); v = got((w.row, w.col))) {
+          cells += 1
+          if (cont(w.col)) {
+            // relative to the larger estimate, or absolute below 1: an estimate of 0 may come out at 1e-14
+            val rel = math.abs(v - w.value) / math.max(1.0, math.max(math.abs(v), math.abs(w.value)))
+            gap = math.max(gap, rel)
+            assert(rel <= 1e-12, s"$at: cell (${w.row}, ${w.col}) $v vs ${w.value}")
+          } else assert(v == w.value, s"$at: cell (${w.row}, ${w.col}) label $v vs ${w.value}")
+        }
+      }
+    }
+    info(s"$cells estimates compared; largest gap of a continuous one $gap")
   }
 }
