@@ -56,8 +56,21 @@ class CorrelationSpec extends CrowdSpec {
   private def pair(j: Int, k: Int): Moments = model.pair(j * columns.size + k)
 
   test("errors(): categorical errors are 0/1, continuous errors are signed") {
-    // §5.2, bit for bit: a categorical error is 0/1 against the argmax label of
-    // the cell's posterior, a continuous one the normalized answer less the
+    val err = Correlation.errors(res)
+    answers.indices.foreach { k =>
+      val (a, e) = (answers(k), err(k))
+      if (a.col <= 1) assert(e == (if (a.value == 0.0) 0.0 else 1.0))
+      else {
+        val (mu, sd) = table.stats(a.col)
+        assert(e == (a.value - mu) / sd) // truth 0 in normalized space
+      }
+    }
+  }
+
+  test("errors equal the map-based reference bit for bit") {
+    // the reference is §5.2's definition, read through a map from cell to
+    // cell id: a categorical error is 0/1 against the argmax label of the
+    // cell's posterior, a continuous one the normalized answer less the
     // posterior mean; on the constant result and on one whose estimates vary
     // by cell (label i % 2 and mean 0.1 * (i % 3) on row i)
     val varied = ResultMaps.result(table,
